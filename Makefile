@@ -4,7 +4,7 @@ BENCH ?= BENCH_current.json
 # SCALE divides the paper datasets (1 = paper scale, 8 = CI-friendly).
 SCALE ?= 8
 
-.PHONY: verify build vet test test-race test-tcmfull test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq demo-closedloop demo-serve clean
+.PHONY: verify build vet test test-race figures test-chaos test-serve test-overload test-profile test-dispatch bench bench-seq demo-closedloop demo-serve clean
 
 verify: build vet test
 
@@ -22,16 +22,25 @@ test:
 test-race:
 	go test -race ./...
 
+# figures regenerates the four figures that double as assertions and exits
+# non-zero on any violated claim: Figure R (recovery strictly beats
+# no-recovery and one-shot placement on every crash schedule), Figure T
+# (closed-loop placement strictly beats nop and one-shot on P99 on every
+# arrival schedule), Figure G (the full protection stack strictly beats
+# no-protection and shed-only on SLO goodput AND P99 on every failure
+# schedule) and Figure W (warm start strictly cuts convergence epochs and
+# profiling charge with quality inside the epsilons).
+figures:
+	go run ./cmd/djvmbench -fig FigR,FigT,FigG,FigW -scale $(SCALE)
+
 # test-chaos is the failure-injection gauntlet: the golden determinism
 # suite under the crash/flaky/partition presets with and without the
 # recovery layer (same-seed runs must stay byte-identical under failure
-# injection), the injection-off byte-identity gate (reports unchanged when
-# no failure events are configured), and the Figure R resilience assertion
-# (recovery must strictly beat no-recovery and one-shot placement on every
-# crash schedule) — all with the race detector on the test half.
+# injection) and the injection-off byte-identity gate (reports unchanged
+# when no failure events are configured), with the race detector on. The
+# Figure R assertion runs in `make figures`.
 test-chaos:
 	go test -race -count=1 -run 'Chaos|InjectionDisabled|GoldenTrace|FigR|Failure|Flush|Lease|Heartbeat|Fuzz|Crash|Intercept|Shaper' . ./internal/gos/ ./internal/experiments/ ./internal/scenario/ ./internal/network/ ./internal/dispatch/
-	go run ./cmd/djvmbench -figR -scale $(SCALE)
 
 # test-dispatch is the distributed-dispatcher gauntlet: the wire-codec
 # round-trip and typed-error tests, the lease-fencing and failure-injection
@@ -51,53 +60,39 @@ test-dispatch:
 	sleep 1; \
 	W1=$$(sed 's/djvmworker listening on //' /tmp/j2_w1.addr); \
 	W2=$$(sed 's/djvmworker listening on //' /tmp/j2_w2.addr); \
-	go run ./cmd/djvmbench -table 2 -scale $(SCALE) -workers "$$W1,$$W2" | grep -v '^-- regenerated' > /tmp/j2_dist.txt; \
-	go run ./cmd/djvmbench -table 2 -scale $(SCALE) | grep -v '^-- regenerated' > /tmp/j2_local.txt; \
+	go run ./cmd/djvmbench -fig Table2 -scale $(SCALE) -workers "$$W1,$$W2" | grep -v '^-- regenerated' > /tmp/j2_dist.txt; \
+	go run ./cmd/djvmbench -fig Table2 -scale $(SCALE) | grep -v '^-- regenerated' > /tmp/j2_local.txt; \
 	diff -u /tmp/j2_dist.txt /tmp/j2_local.txt && echo "dispatch identity: OK"
 	rm -f /tmp/j2_djvmworker /tmp/j2_w1.addr /tmp/j2_w2.addr /tmp/j2_dist.txt /tmp/j2_local.txt
 
 # test-serve is the open-loop traffic gauntlet: ServeMix golden determinism
-# and arrival-stream property tests under the race detector, plus the
-# Figure T assertion (closed-loop placement must strictly beat nop and
-# one-shot on P99 on every arrival schedule; non-zero exit otherwise).
+# and arrival-stream property tests under the race detector. The Figure T
+# assertion runs in `make figures`.
 test-serve:
 	go test -race -count=1 -run 'ServeMix|Arrivals|FigT|Controller' . ./internal/workload/ ./internal/scenario/ ./internal/experiments/ ./internal/sampling/
-	go run ./cmd/djvmbench -figT -scale $(SCALE)
 
 # test-overload is the serving-robustness gauntlet: the preset × protection
 # determinism grid and the robust-off golden gate (Snapshot.Serve must be
 # byte-identical to the pre-layer golden when the layer is off), the robust
 # dispatcher and lock-failover suites — all under the race detector — then
-# the Figure G assertion (the full protection stack must strictly beat
-# no-protection and shed-only on SLO goodput AND P99 on every failure
-# schedule; non-zero exit otherwise) and the `-recover -app serve`
-# end-to-end smoke.
+# the `-recover -app serve` end-to-end smoke. The Figure G assertion runs
+# in `make figures`.
 test-overload:
 	go test -race -count=1 -run 'Overload|FigG|Robust|ServeMix|LockManager|LockReclaim|Protect|RecoverServe' . ./internal/workload/ ./internal/gos/ ./internal/experiments/ ./cmd/djvmrun/
-	go run ./cmd/djvmbench -figG -scale $(SCALE)
 	go run ./cmd/djvmrun -app serve -scenario crash+burst -recover -nodes 4 -threads 8 -rate off -tcm=false
 
 # test-profile is the profile-store gauntlet: the codec round-trip,
 # corruption and fuzz-corpus tests, the warm-start policy and session
-# integration suite (fingerprint mismatch, Save-armed golden identity),
-# and the Figure W assertion (warm start must strictly cut convergence
-# epochs and profiling charge with quality inside the epsilons; non-zero
-# exit otherwise) — race detector on the test half, then a djvmrun
-# -profile-out -> -profile-in round trip through a scratch file.
+# integration suite (fingerprint mismatch, Save-armed golden identity)
+# under the race detector, then a djvmrun -profile-out -> -profile-in round
+# trip through a scratch file. The Figure W assertion runs in
+# `make figures`.
 test-profile:
 	go test -race -count=1 -run 'Profile|WarmStart|FigW|Divergence|SeedMap|FixedCells' . ./internal/profile/ ./internal/session/ ./internal/tcm/ ./internal/experiments/ ./cmd/djvmrun/ ./cmd/tcmviz/
-	go run ./cmd/djvmbench -figW -scale $(SCALE)
 	go run ./cmd/djvmrun -app kv -scenario phased -policy rebalance -epoch 10ms -tcm=false -profile-out /tmp/j2_ci_kv.j2pf
 	go run ./cmd/djvmrun -app kv -scenario phased -policy warmstart -epoch 10ms -tcm=false -profile-in /tmp/j2_ci_kv.j2pf
 	go run ./cmd/tcmviz -profile /tmp/j2_ci_kv.j2pf
 	rm -f /tmp/j2_ci_kv.j2pf
-
-# test-tcmfull reruns the suite with the legacy full-rebuild TCM builder
-# selected (the incremental builder's oracle); the equivalence property
-# tests run the pair head to head under either tag.
-test-tcmfull:
-	go build -tags tcmfull ./...
-	go test -tags tcmfull ./...
 
 # bench runs the Go benchmarks (allocs/op is the regression metric; see
 # EXPERIMENTS.md) and writes the machine-readable djvmbench report. The

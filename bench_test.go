@@ -202,11 +202,11 @@ func BenchmarkAblationMigration(b *testing.B) {
 	run := func(prefetch bool) (faults int64) {
 		cfg := jessica2.DefaultConfig()
 		cfg.Nodes = 2
-		sys := jessica2.New(cfg)
-		eng := jessica2.NewMigrationEngine(sys)
-		cls := sys.Kernel().Reg.DefineClass("Rec", 128, 1)
+		sess := jessica2.NewSession(cfg)
+		eng := jessica2.NewMigrationEngine(sess)
+		cls := sess.Kernel().Reg.DefineClass("Rec", 128, 1)
 		cls.SetGap(1, 1)
-		sys.Kernel().SpawnThread(0, "m", func(t *jessica2.Thread) {
+		sess.Kernel().SpawnThread(0, "m", func(t *jessica2.Thread) {
 			var objs []*jessica2.Object
 			var prev *jessica2.Object
 			for i := 0; i < 200; i++ {
@@ -232,7 +232,9 @@ func BenchmarkAblationMigration(b *testing.B) {
 			}
 			faults = t.Stats().Faults - before
 		})
-		sys.Run()
+		if _, err := sess.Run(); err != nil {
+			b.Fatal(err)
+		}
 		return faults
 	}
 	for i := 0; i < b.N; i++ {
@@ -322,64 +324,6 @@ func BenchmarkTCMBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bl.Build()
-	}
-}
-
-// tcmPeeker is the builder surface the incremental-vs-legacy TCM
-// microbenchmark drives; both variants are always compiled, so one binary
-// measures the pair head to head.
-type tcmPeeker interface {
-	AddAccess(t int, key int64, bytes float64)
-	PeekInto(dst *tcm.Map) *tcm.Map
-}
-
-// BenchmarkTCMIncremental measures the epoch-snapshot hot path — PeekInto
-// at steady state — on realistic daemon populations: the per-object state a
-// finished closed-loop KVMix / Synthetic-zipf probe ingested. Each
-// iteration models one boundary: a repeat access (the overwhelmingly common
-// per-epoch delta) followed by a reused-scratch peek. The legacy builder
-// re-sorts all M objects and re-accrues every pair per peek; the
-// incremental builder re-syncs only dirtied cells.
-func BenchmarkTCMIncremental(b *testing.B) {
-	for _, load := range []struct{ name, app string }{
-		{"KVMix", "kv"},
-		{"Synthetic-zipf", "zipf"},
-	} {
-		sess, _ := experiments.ClosedLoopProbe(benchScale, load.app)
-		sum := sess.Kernel().Master().Summary()
-		n := sess.Kernel().NumThreads()
-		if sum.NumObjs() == 0 {
-			b.Fatalf("%s probe ingested no objects", load.name)
-		}
-		variants := []struct {
-			name string
-			make func() tcmPeeker
-		}{
-			{"full", func() tcmPeeker {
-				bl := tcm.NewFullBuilder(n)
-				bl.IngestSummary(sum)
-				return bl
-			}},
-			{"incremental", func() tcmPeeker {
-				bl := tcm.NewIncBuilder(n)
-				bl.IngestSummary(sum)
-				return bl
-			}},
-		}
-		for _, v := range variants {
-			b.Run(load.name+"/"+v.name+"/peekinto", func(b *testing.B) {
-				bl := v.make()
-				scratch := bl.PeekInto(nil)
-				b.ReportMetric(float64(sum.NumObjs()), "objects")
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					o := sum.Objs[i%len(sum.Objs)]
-					bl.AddAccess(int(o.Threads[0]), o.Key, o.Bytes)
-					scratch = bl.PeekInto(scratch)
-				}
-			})
-		}
 	}
 }
 

@@ -425,18 +425,16 @@ func (rc *runConfig) buildSession(scen *jessica2.Scenario, policy jessica2.Polic
 
 // runReport is the -benchjson document: one machine-readable record of the
 // invocation, its per-seed simulated execution times and the host-side
-// wall clock, tagged with the TCM builder variant the binary carries so
-// before/after perf artifacts are self-describing.
+// wall clock.
 type runReport struct {
-	App        string    `json:"app"`
-	Scenario   string    `json:"scenario"`
-	Policy     string    `json:"policy"`
-	Seeds      int       `json:"seeds"`
-	Parallel   int       `json:"parallel"`
-	GoVersion  string    `json:"go_version"`
-	TCMBuilder string    `json:"tcm_builder"`
-	ExecMs     []float64 `json:"exec_ms"`
-	WallMs     float64   `json:"wall_clock_ms"`
+	App       string    `json:"app"`
+	Scenario  string    `json:"scenario"`
+	Policy    string    `json:"policy"`
+	Seeds     int       `json:"seeds"`
+	Parallel  int       `json:"parallel"`
+	GoVersion string    `json:"go_version"`
+	ExecMs    []float64 `json:"exec_ms"`
+	WallMs    float64   `json:"wall_clock_ms"`
 }
 
 // execute runs the parsed invocation, writing the report to out. With
@@ -618,14 +616,13 @@ func (rc *runConfig) writeBenchJSON(execs []jessica2.Time, wall time.Duration) e
 		return nil
 	}
 	rep := runReport{
-		App:        rc.app,
-		Scenario:   rc.scenSpec,
-		Policy:     rc.policyTag,
-		Seeds:      rc.seeds,
-		Parallel:   rc.parallel,
-		GoVersion:  runtime.Version(),
-		TCMBuilder: jessica2.TCMBuilderVariant(),
-		WallMs:     float64(wall.Nanoseconds()) / 1e6,
+		App:       rc.app,
+		Scenario:  rc.scenSpec,
+		Policy:    rc.policyTag,
+		Seeds:     rc.seeds,
+		Parallel:  rc.parallel,
+		GoVersion: runtime.Version(),
+		WallMs:    float64(wall.Nanoseconds()) / 1e6,
 	}
 	for _, e := range execs {
 		rep.ExecMs = append(rep.ExecMs, e.Milliseconds())

@@ -25,15 +25,22 @@ func main() {
 	cfg := jessica2.DefaultConfig()
 	cfg.Nodes = nodes
 	cfg.DistributedTCM = true // §VI: workers pre-reduce OALs
-	sys := jessica2.New(cfg)
+	sess := jessica2.NewSession(cfg)
 
 	ws := jessica2.NewWaterSpatial()
 	ws.NMol, ws.Rounds = 256, 3
 	ws.PairCost = 4 * jessica2.Microsecond
-	sys.Launch(ws, jessica2.Params{Threads: threads, Seed: 9})
-	sys.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate})
+	if err := sess.Launch(ws, jessica2.Params{Threads: threads, Seed: 9}); err != nil {
+		panic(err)
+	}
+	if _, err := sess.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate}); err != nil {
+		panic(err)
+	}
 
-	rep := sys.Run()
+	rep, err := sess.Run()
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(rep)
 
 	m := rep.TCM()

@@ -27,7 +27,7 @@ type traversalWorkload struct {
 	// prefetch enables sticky-set resolution at migration time.
 	prefetch bool
 
-	sys  *jessica2.System
+	sess *jessica2.Session
 	prof *jessica2.Profiler
 
 	// outcome of the migration, for reporting.
@@ -49,7 +49,7 @@ func (w *traversalWorkload) Launch(k *jessica2.Kernel, p jessica2.Params) {
 	recC := k.Reg.DefineClass("Record", 128, 1)
 	mMain := &jessica2.Method{Name: "traversal.run"}
 	mWalk := &jessica2.Method{Name: "traversal.walk"}
-	eng := jessica2.NewMigrationEngine(w.sys)
+	eng := jessica2.NewMigrationEngine(w.sess)
 
 	for tid := 0; tid < p.Threads; tid++ {
 		tid := tid
@@ -103,20 +103,29 @@ func (w *traversalWorkload) Launch(k *jessica2.Kernel, p jessica2.Params) {
 	}
 }
 
-func run(prefetch bool) {
-	sys := jessica2.New(jessica2.DefaultConfig())
+func run(prefetch bool) *traversalWorkload {
+	sess := jessica2.NewSession(jessica2.DefaultConfig())
 	w := &traversalWorkload{
 		records: 400, intervals: 12, migrateAt: 5,
-		prefetch: prefetch, sys: sys,
+		prefetch: prefetch, sess: sess,
 	}
-	sys.Launch(w, jessica2.Params{Threads: 4, Seed: 11})
+	if err := sess.Launch(w, jessica2.Params{Threads: 4, Seed: 11}); err != nil {
+		panic(err)
+	}
 
 	stackCfg := jessica2.DefaultStackConfig()
 	fp := jessica2.FootprintConfig{FootprinterConfig: jessica2.DefaultFootprinter()}
-	w.prof = sys.AttachProfiling(jessica2.ProfileConfig{
+	var err error
+	w.prof, err = sess.AttachProfiling(jessica2.ProfileConfig{
 		Rate: jessica2.FullRate, Stack: &stackCfg, Footprint: &fp,
 	})
-	rep := sys.Run()
+	if err != nil {
+		panic(err)
+	}
+	rep, err := sess.Run()
+	if err != nil {
+		panic(err)
+	}
 
 	mode := "cold migration      "
 	if prefetch {
@@ -126,6 +135,7 @@ func run(prefetch bool) {
 	fmt.Printf("%s: context=%4dB prefetch=%6dB (%3d objs) transfer=%-10v post-migration faults=%d  total=%v\n",
 		mode, w.outcome.ContextBytes, w.outcome.PrefetchBytes,
 		w.outcome.PrefetchObjs, w.outcome.TransferTime, post, rep.ExecTime())
+	return w
 }
 
 func main() {

@@ -13,17 +13,25 @@ import (
 func main() {
 	// An 8-node cluster mirroring the paper's testbed, with the paper's
 	// sampled correlation tracking enabled.
-	sys := jessica2.New(jessica2.DefaultConfig())
+	sess := jessica2.NewSession(jessica2.DefaultConfig())
 
 	// The red-black SOR kernel at a quarter of the paper's dataset so the
 	// example finishes in a blink; drop these overrides for paper scale.
 	sor := jessica2.NewSOR()
 	sor.RowsN, sor.Cols, sor.Iters = 512, 512, 4
 
-	sys.Launch(sor, jessica2.Params{Threads: 8, Seed: 1})
-	sys.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate})
+	if err := sess.Launch(sor, jessica2.Params{Threads: 8, Seed: 1}); err != nil {
+		panic(err)
+	}
+	if _, err := sess.AttachProfiling(jessica2.ProfileConfig{Rate: jessica2.FullRate}); err != nil {
+		panic(err)
+	}
 
-	rep := sys.Run()
+	// With no policy installed, Run executes the workload as one epoch.
+	rep, err := sess.Run()
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(rep)
 
 	// The thread correlation map: SOR's near-neighbour sharing shows as a

@@ -51,39 +51,17 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// goldenTrace runs one case to completion and renders every externally
-// observable result into a single string: the report, the kernel and
-// network counters, the correlation map, and the adaptive-free profiling
-// state. Any nondeterminism anywhere in the stack shows up as a byte
-// difference.
-func goldenTrace(c goldenCase, scen *jessica2.Scenario, seed uint64) string {
+// goldenConfig is the golden suite's 4-node cluster, optionally perturbed.
+func goldenConfig(scen *jessica2.Scenario) jessica2.Config {
 	cfg := jessica2.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.Scenario = scen
-	sys := jessica2.New(cfg)
-	sys.Launch(c.make(), jessica2.Params{Threads: 6, Seed: seed})
-	prof := sys.AttachProfiling(jessica2.ProfileConfig{Rate: 4})
-	rep := sys.Run()
-
-	var sb strings.Builder
-	sb.WriteString(rep.String())
-	fmt.Fprintf(&sb, "kernel: %+v\n", rep.KernelStats())
-	fmt.Fprintf(&sb, "net: %v", rep.NetworkStats())
-	fmt.Fprintf(&sb, "oal=%d gos=%d\n", rep.OALBytes(), rep.GOSBytes())
-	sb.WriteString(rep.TCM().String())
-	fmt.Fprintf(&sb, "stackcpu=%v\n", prof.StackCPU())
-	return sb.String()
+	return cfg
 }
 
-// sessionTrace renders the same observables as goldenTrace, but drives the
-// run through the epoch-stepped Session API with the passive NopPolicy
-// installed: the closed-loop machinery must be invisible when the policy
-// never acts.
-func sessionTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint64) string {
+// goldenSession launches one case (6 threads) with profiling at 4X.
+func goldenSession(t *testing.T, cfg jessica2.Config, c goldenCase, seed uint64) (*jessica2.Session, *jessica2.Profiler) {
 	t.Helper()
-	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
-	cfg.Scenario = scen
 	sess := jessica2.NewSession(cfg)
 	if err := sess.Launch(c.make(), jessica2.Params{Threads: 6, Seed: seed}); err != nil {
 		t.Fatal(err)
@@ -92,6 +70,13 @@ func sessionTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sess, prof
+}
+
+// stepNop installs the passive NopPolicy and steps the session to
+// completion in 10 ms epochs, returning the report.
+func stepNop(t *testing.T, sess *jessica2.Session) *jessica2.Report {
+	t.Helper()
 	if err := sess.SetPolicy(jessica2.NopPolicy{}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +93,14 @@ func sessionTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep
+}
 
+// renderTrace renders every externally observable result of a finished
+// run into a single string: the report, the kernel and network counters,
+// the correlation map, and the adaptive-free profiling state. Any
+// nondeterminism anywhere in the stack shows up as a byte difference.
+func renderTrace(rep *jessica2.Report, prof *jessica2.Profiler) string {
 	var sb strings.Builder
 	sb.WriteString(rep.String())
 	fmt.Fprintf(&sb, "kernel: %+v\n", rep.KernelStats())
@@ -119,18 +111,39 @@ func sessionTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint
 	return sb.String()
 }
 
+// goldenTrace runs one case to completion as a single one-shot Session.Run
+// and renders it.
+func goldenTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint64) string {
+	t.Helper()
+	sess, prof := goldenSession(t, goldenConfig(scen), c, seed)
+	rep, err := sess.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderTrace(rep, prof)
+}
+
+// sessionTrace renders the same observables as goldenTrace, but drives the
+// run through epoch stepping with the passive NopPolicy installed: the
+// closed-loop machinery must be invisible when the policy never acts.
+func sessionTrace(t *testing.T, c goldenCase, scen *jessica2.Scenario, seed uint64) string {
+	t.Helper()
+	sess, prof := goldenSession(t, goldenConfig(scen), c, seed)
+	return renderTrace(stepNop(t, sess), prof)
+}
+
 // TestSessionNopGoldenIdentity: a Session stepped in epochs under NopPolicy
-// must produce byte-identical reports to the classic one-shot System.Run on
-// the same seed — with and without a perturbation scenario.
+// must produce byte-identical reports to a one-shot Session.Run on the same
+// seed — with and without a perturbation scenario.
 func TestSessionNopGoldenIdentity(t *testing.T) {
 	for _, c := range goldenCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			if got, want := sessionTrace(t, c, nil, 42), goldenTrace(c, nil, 42); got != want {
-				t.Fatalf("epoch-stepped NopPolicy session diverged from System.Run:\n--- session\n%s\n--- system\n%s", got, want)
+			if got, want := sessionTrace(t, c, nil, 42), goldenTrace(t, c, nil, 42); got != want {
+				t.Fatalf("epoch-stepped NopPolicy session diverged from one-shot Run:\n--- stepped\n%s\n--- one-shot\n%s", got, want)
 			}
-			if got, want := sessionTrace(t, c, stormScenario(t), 42), goldenTrace(c, stormScenario(t), 42); got != want {
-				t.Fatalf("perturbed epoch-stepped NopPolicy session diverged from System.Run:\n--- session\n%s\n--- system\n%s", got, want)
+			if got, want := sessionTrace(t, c, stormScenario(t), 42), goldenTrace(t, c, stormScenario(t), 42); got != want {
+				t.Fatalf("perturbed epoch-stepped NopPolicy session diverged from one-shot Run:\n--- stepped\n%s\n--- one-shot\n%s", got, want)
 			}
 		})
 	}
@@ -156,14 +169,14 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	for _, c := range goldenCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			base1 := goldenTrace(c, nil, 42)
-			base2 := goldenTrace(c, nil, 42)
+			base1 := goldenTrace(t, c, nil, 42)
+			base2 := goldenTrace(t, c, nil, 42)
 			if base1 != base2 {
 				t.Fatalf("unperturbed same-seed runs diverged:\n--- run 1\n%s\n--- run 2\n%s", base1, base2)
 			}
 
-			pert1 := goldenTrace(c, stormScenario(t), 42)
-			pert2 := goldenTrace(c, stormScenario(t), 42)
+			pert1 := goldenTrace(t, c, stormScenario(t), 42)
+			pert2 := goldenTrace(t, c, stormScenario(t), 42)
 			if pert1 != pert2 {
 				t.Fatalf("perturbed same-seed runs diverged:\n--- run 1\n%s\n--- run 2\n%s", pert1, pert2)
 			}
@@ -182,7 +195,7 @@ func TestGoldenTraceSeedSensitivity(t *testing.T) {
 		if c.name != "KVMix" { // fully seed-driven accesses
 			continue
 		}
-		if goldenTrace(c, nil, 1) == goldenTrace(c, nil, 2) {
+		if goldenTrace(t, c, nil, 1) == goldenTrace(t, c, nil, 2) {
 			t.Error("different seeds produced identical traces")
 		}
 		return

@@ -146,10 +146,9 @@ func widen(mp *tcm.Map, n int) *tcm.Map {
 // Build constructs the TCM for n threads from everything ingested, charging
 // analyzer CPU for the accrual pass. The charge is the paper's simulated
 // O(M·N²) reorganize-and-accrue cost (cost.Objects and the cumulative
-// cost.PairAdds), which both builder variants report identically — the
-// incremental default maintains the map online, so its *host-side* Build is
-// O(1), but the simulated analyzer the ledger models still pays for the
-// full pass.
+// cost.PairAdds). The builder maintains the map online, so its *host-side*
+// Build is O(1), but the simulated analyzer the ledger models still pays
+// for the full pass.
 func (m *Master) Build(n int) (*tcm.Map, tcm.BuildCost) {
 	bl := m.ensureBuilder()
 	mp, cost := bl.Build()
@@ -180,21 +179,18 @@ func (m *Master) PeekInto(dst *tcm.Map, n int) *tcm.Map {
 // threads (ascending key order: key, current logged weight, ascending
 // accessor ids — the threads slice is scratch valid only during the
 // callback). Callers MUST dedupe across calls themselves (the session
-// keeps a hotSeen set): the incremental builder narrows successive visits
-// to the O(new) pending list — consume retires entries acknowledged with a
-// true return, declined entries stay pending — but that narrowing is an
-// optimization, not a delivery guarantee; the legacy `-tags tcmfull`
-// builder re-scans all shared objects on every call and ignores
-// consume/return. Like Peek, it never charges simulated analyzer CPU.
+// keeps a hotSeen set): the builder narrows successive visits to the
+// O(new) pending list — consume retires entries acknowledged with a true
+// return, declined entries stay pending — but that narrowing is an
+// optimization, not a delivery guarantee. Like Peek, it never charges
+// simulated analyzer CPU.
 func (m *Master) VisitNewlyShared(consume bool, visit func(key int64, bytes float64, threads []int32) bool) {
 	m.ensureBuilder().VisitNewlyShared(consume, visit)
 }
 
 // DecayThreads scales the given threads' accumulated correlations by
 // factor — the failure detector's graceful-degradation hook when their
-// node's lease expires. A documented no-op under `-tags tcmfull` (the
-// legacy builder rebuilds from raw history, which cannot be retroactively
-// discounted).
+// node's lease expires.
 func (m *Master) DecayThreads(threads []int, factor float64) {
 	m.ensureBuilder().DecayThreads(threads, factor)
 }
@@ -202,9 +198,7 @@ func (m *Master) DecayThreads(threads []int, factor float64) {
 // SeedMap pre-loads the analyzer's accumulator with a prior run's
 // correlation map — the profile-guided warm start. Seeding is prior
 // knowledge, not measurement: it charges no analyzer CPU and leaves the
-// Build cost ledger untouched. A documented no-op under `-tags tcmfull`
-// (the legacy builder rebuilds from raw per-object history, which seeded
-// pair-level volume cannot join), mirroring DecayThreads.
+// Build cost ledger untouched.
 func (m *Master) SeedMap(mp *tcm.Map) {
 	m.ensureBuilder().SeedMap(mp)
 }

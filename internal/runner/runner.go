@@ -12,7 +12,6 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -164,16 +163,6 @@ func Go(p *Pool, n int, fn func(i int)) {
 	Collect(p, jobs)
 }
 
-// Result is one fallible job's outcome in a TryCollect batch.
-type Result[T any] struct {
-	// Value is the last attempt's return (the zero value when Err is set).
-	Value T
-	// Err is the final attempt's error; nil means the job succeeded.
-	Err error
-	// Attempts counts executions of the job (1 = first try succeeded).
-	Attempts int
-}
-
 // Backoff is a capped exponential per-attempt delay policy: the n-th retry
 // of an operation waits min(Base·2ⁿ, Max) of real wall-clock time. The zero
 // value means no delay at all (every retry is immediate), and Max <= 0
@@ -209,76 +198,4 @@ func (b Backoff) Delay(attempt int) time.Duration {
 		d = b.Max
 	}
 	return d
-}
-
-// TryCollect is Collect for fallible jobs: each job that returns an error
-// is retried in place — on the same worker, immediately, up to retries
-// additional attempts — and the final outcomes come back in submission
-// order. Transient failures (a flaky external check, a probabilistic
-// acceptance bar) therefore cost only their own re-execution; they neither
-// abort the batch nor perturb its ordering. Jobs must be independent like
-// Collect's; a job whose failure is deterministic simply burns its retry
-// budget and reports the last error. Panics are not converted to errors —
-// they propagate exactly as under Collect.
-func TryCollect[T any](p *Pool, retries int, jobs []func() (T, error)) []Result[T] {
-	return TryCollectCtx(context.Background(), p, retries, Backoff{}, jobs)
-}
-
-// TryCollectCtx is TryCollect with a per-attempt backoff policy and a
-// cancellation path. Between a failed attempt and its retry the worker
-// sleeps bo.Delay(attempt) of real time (capped exponential; the zero
-// Backoff retries immediately, exactly like TryCollect). Before every
-// attempt the context is consulted: once ctx is cancelled, jobs stop
-// retrying — and jobs that have not started at all stop executing — and
-// report ctx's error as their final Err. A job already executing is never
-// interrupted mid-attempt (jobs are not context-aware), so cancellation
-// latency is bounded by one attempt plus one backoff sleep. Attempts counts
-// executions as in TryCollect; a job cancelled before its first attempt
-// reports Attempts == 0.
-func TryCollectCtx[T any](ctx context.Context, p *Pool, retries int, bo Backoff, jobs []func() (T, error)) []Result[T] {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if retries < 0 {
-		retries = 0
-	}
-	wrapped := make([]func() Result[T], len(jobs))
-	for i := range jobs {
-		job := jobs[i]
-		wrapped[i] = func() Result[T] {
-			var res Result[T]
-			for attempt := 0; ; attempt++ {
-				if err := ctx.Err(); err != nil {
-					res.Err = err
-					return res
-				}
-				res.Value, res.Err = job()
-				res.Attempts = attempt + 1
-				if res.Err == nil {
-					return res
-				}
-				var zero T
-				res.Value = zero
-				if attempt == retries {
-					return res
-				}
-				if d := bo.Delay(attempt); d > 0 {
-					time.Sleep(d)
-				}
-			}
-		}
-	}
-	return Collect(p, wrapped)
-}
-
-// FirstErr scans a TryCollect batch and returns the first failed job's
-// index and error (by submission order, deterministically), or (-1, nil)
-// when every job succeeded.
-func FirstErr[T any](results []Result[T]) (int, error) {
-	for i := range results {
-		if results[i].Err != nil {
-			return i, results[i].Err
-		}
-	}
-	return -1, nil
 }

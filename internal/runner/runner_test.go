@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -186,89 +185,6 @@ func TestWorkersDefaults(t *testing.T) {
 	}
 }
 
-// TestTryCollectTransientFailureRecovers: a job failing on its first
-// attempt must succeed on retry without perturbing submission order —
-// the regression shape for flaky experiment cells.
-func TestTryCollectTransientFailureRecovers(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := New(workers)
-		const n = 50
-		attempts := make([]atomic.Int64, n)
-		jobs := make([]func() (int, error), n)
-		for i := range jobs {
-			i := i
-			jobs[i] = func() (int, error) {
-				// Every third job fails its first two attempts.
-				if a := attempts[i].Add(1); i%3 == 0 && a <= 2 {
-					return -1, errors.New("transient")
-				}
-				// Reverse-staggered completion, as in the Collect order test.
-				time.Sleep(time.Duration(n-i) * 10 * time.Microsecond)
-				return i * i, nil
-			}
-		}
-		out := TryCollect(p, 2, jobs)
-		if idx, err := FirstErr(out); err != nil {
-			t.Fatalf("workers=%d: job %d failed despite retry budget: %v", workers, idx, err)
-		}
-		for i, r := range out {
-			if r.Value != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, r.Value, i*i)
-			}
-			wantAttempts := 1
-			if i%3 == 0 {
-				wantAttempts = 3
-			}
-			if r.Attempts != wantAttempts {
-				t.Fatalf("workers=%d: job %d took %d attempts, want %d", workers, i, r.Attempts, wantAttempts)
-			}
-		}
-	}
-}
-
-// TestTryCollectBoundedRetries: a deterministically failing job reports its
-// last error after exactly 1+retries attempts, zeroes its value, and does
-// not poison its neighbors.
-func TestTryCollectBoundedRetries(t *testing.T) {
-	var ran atomic.Int64
-	boom := errors.New("permanent")
-	jobs := []func() (string, error){
-		func() (string, error) { return "ok-0", nil },
-		func() (string, error) { ran.Add(1); return "partial", boom },
-		func() (string, error) { return "ok-2", nil },
-	}
-	out := TryCollect(New(2), 3, jobs)
-	if out[0].Err != nil || out[0].Value != "ok-0" || out[2].Err != nil || out[2].Value != "ok-2" {
-		t.Fatalf("healthy neighbors perturbed: %+v", out)
-	}
-	if out[1].Err != boom {
-		t.Fatalf("err = %v, want %v", out[1].Err, boom)
-	}
-	if out[1].Value != "" {
-		t.Fatalf("failed job's value = %q, want zeroed", out[1].Value)
-	}
-	if got := ran.Load(); got != 4 {
-		t.Fatalf("failing job ran %d times, want 4 (1 + 3 retries)", got)
-	}
-	if out[1].Attempts != 4 {
-		t.Fatalf("Attempts = %d, want 4", out[1].Attempts)
-	}
-	if idx, err := FirstErr(out); idx != 1 || err != boom {
-		t.Fatalf("FirstErr = (%d, %v), want (1, %v)", idx, err, boom)
-	}
-}
-
-// TestTryCollectNegativeRetries clamps to plain single attempts.
-func TestTryCollectNegativeRetries(t *testing.T) {
-	var ran atomic.Int64
-	out := TryCollect(nil, -5, []func() (int, error){
-		func() (int, error) { ran.Add(1); return 0, errors.New("nope") },
-	})
-	if ran.Load() != 1 || out[0].Attempts != 1 {
-		t.Fatalf("negative retries: ran %d, attempts %d, want 1/1", ran.Load(), out[0].Attempts)
-	}
-}
-
 // TestBackoffDelay pins the capped-exponential schedule, its zero-value
 // no-delay contract, and overflow safety at absurd attempt counts.
 func TestBackoffDelay(t *testing.T) {
@@ -298,93 +214,5 @@ func TestBackoffDelay(t *testing.T) {
 	// wrap negative (a negative Sleep returns immediately — a hot loop).
 	if d := (Backoff{Base: time.Hour}).Delay(200); d <= 0 {
 		t.Fatalf("uncapped Delay(200) = %v, want a positive saturated delay", d)
-	}
-}
-
-// TestTryCollectCtxBacksOff: failed attempts must be spaced by the backoff
-// schedule (wall-clock lower bound), and the result still recovers.
-func TestTryCollectCtxBacksOff(t *testing.T) {
-	var ran atomic.Int64
-	bo := Backoff{Base: 20 * time.Millisecond, Max: 80 * time.Millisecond}
-	start := time.Now()
-	out := TryCollectCtx(context.Background(), New(2), 3, bo, []func() (int, error){
-		func() (int, error) {
-			if ran.Add(1) <= 2 {
-				return 0, errors.New("transient")
-			}
-			return 42, nil
-		},
-	})
-	elapsed := time.Since(start)
-	if out[0].Err != nil || out[0].Value != 42 || out[0].Attempts != 3 {
-		t.Fatalf("result = %+v, want 42 after 3 attempts", out[0])
-	}
-	// Two failed attempts sleep Delay(0)+Delay(1) = 20ms+40ms.
-	if want := 60 * time.Millisecond; elapsed < want {
-		t.Fatalf("elapsed %v, want at least %v of backoff", elapsed, want)
-	}
-}
-
-// TestTryCollectCtxNoBackoffMatchesTryCollect: the zero Backoff keeps the
-// historical immediate-retry behavior TryCollect delegates to.
-func TestTryCollectCtxNoBackoffMatchesTryCollect(t *testing.T) {
-	var ran atomic.Int64
-	start := time.Now()
-	out := TryCollectCtx(context.Background(), nil, 4, Backoff{}, []func() (int, error){
-		func() (int, error) { ran.Add(1); return 0, errors.New("always") },
-	})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("zero backoff slept: %v", elapsed)
-	}
-	if ran.Load() != 5 || out[0].Attempts != 5 {
-		t.Fatalf("ran %d / attempts %d, want 5/5", ran.Load(), out[0].Attempts)
-	}
-}
-
-// TestTryCollectCtxCancelled: cancellation before the batch starts reports
-// ctx.Err() for every job without running anything.
-func TestTryCollectCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	out := TryCollectCtx(ctx, New(2), 3, Backoff{}, []func() (int, error){
-		func() (int, error) { ran.Add(1); return 1, nil },
-		func() (int, error) { ran.Add(1); return 2, nil },
-	})
-	if ran.Load() != 0 {
-		t.Fatalf("%d jobs ran under a cancelled context", ran.Load())
-	}
-	for i, r := range out {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("out[%d].Err = %v, want context.Canceled", i, r.Err)
-		}
-		if r.Value != 0 || r.Attempts != 0 {
-			t.Fatalf("out[%d] = %+v, want zero value and zero attempts", i, r)
-		}
-	}
-}
-
-// TestTryCollectCtxCancelMidRetries: cancelling during a retry sequence
-// stops further attempts and surfaces the context error with the attempt
-// count actually executed.
-func TestTryCollectCtxCancelMidRetries(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	out := TryCollectCtx(ctx, nil, 1000, Backoff{Base: time.Millisecond, Max: time.Millisecond}, []func() (int, error){
-		func() (int, error) {
-			if ran.Add(1) == 3 {
-				cancel()
-			}
-			return 0, errors.New("keep trying")
-		},
-	})
-	if !errors.Is(out[0].Err, context.Canceled) {
-		t.Fatalf("Err = %v, want context.Canceled", out[0].Err)
-	}
-	if got := ran.Load(); got != 3 {
-		t.Fatalf("job ran %d times, want 3 (cancel stops the retry loop)", got)
-	}
-	if out[0].Attempts != 3 {
-		t.Fatalf("Attempts = %d, want 3", out[0].Attempts)
 	}
 }

@@ -62,7 +62,7 @@ type event struct {
 // slightly wider child scan on sift-down for fewer cache-missing levels —
 // the queue is the single hottest data structure in the simulator. It backs
 // the bucketed scheduler (per-bucket heaps and the far-timer overflow in
-// sched.go) and is the engine's whole queue under the `simheap` build tag.
+// sched.go) and is the reference order its property tests compare against.
 type eventPQ []event
 
 func (q *eventPQ) size() int    { return len(*q) }
@@ -126,36 +126,11 @@ func (q *eventPQ) pop() event {
 	return top
 }
 
-// Config tunes the engine. Today that is the bucketed scheduler's
-// geometry; the zero value selects the defaults, so existing constructors
-// are unchanged.
-type Config struct {
-	// SchedBucketBits is log2 of the calendar bucket width in nanoseconds
-	// (0 = default 12, i.e. 4096 ns buckets).
-	SchedBucketBits int
-	// SchedRingBuckets is the calendar ring size: a power of two >= 64
-	// (0 = default 256). Together with the width it sets the coverage
-	// horizon beyond which timers wait in the overflow heap.
-	SchedRingBuckets int
-	// Under the `simheap` build tag the engine runs on the plain 4-ary
-	// heap and the geometry is ignored.
-}
-
-// DefaultConfig returns the default engine configuration (the geometry the
-// zero value also selects).
-func DefaultConfig() Config {
-	return Config{SchedBucketBits: defaultBucketBits, SchedRingBuckets: defaultRingBuckets}
-}
-
-// configure lets the heap fallback satisfy the engineQueue contract; the
-// plain 4-ary heap has no geometry.
-func (q *eventPQ) configure(Config) {}
-
 // Engine is the simulation scheduler. It is not safe for concurrent use by
 // multiple OS threads except through the Proc cooperation protocol.
 type Engine struct {
 	now     Time
-	queue   engineQueue
+	queue   schedQueue
 	seq     uint64
 	procs   []*Proc
 	running int // procs started and not yet finished
@@ -166,19 +141,9 @@ type Engine struct {
 	sched chan struct{}
 }
 
-// NewEngine returns an engine with the clock at zero and the default
-// scheduler geometry.
+// NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{sched: make(chan struct{})}
-}
-
-// NewEngineWith returns an engine with the clock at zero and the given
-// configuration (zero fields fall back to the defaults, so the zero Config
-// is equivalent to NewEngine).
-func NewEngineWith(cfg Config) *Engine {
-	e := NewEngine()
-	e.queue.configure(cfg)
-	return e
 }
 
 // Now returns the current virtual time.

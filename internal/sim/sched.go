@@ -14,16 +14,16 @@ import (
 // handful of events, while the overflow heap only churns when a far timer
 // is scheduled or migrates into coverage.
 //
-// Ordering is exactly the 4-ary heap's: (at, seq) with FIFO tie-break, so
-// golden traces are byte-identical between the two implementations (the
-// `simheap` build tag selects the plain heap as a fallback; the property
-// tests in sched_test.go assert pop-order equivalence on random streams).
+// Ordering is exactly the 4-ary heap's: (at, seq) with FIFO tie-break (the
+// property tests in sched_test.go assert pop-order equivalence with a plain
+// eventPQ on random streams).
 //
-// The bucket geometry is configurable per engine (Config.SchedBucketBits /
-// Config.SchedRingBuckets, defaults below): wider buckets smear a busy
-// instant across fewer, deeper heaps; a longer ring trades occupancy-scan
-// memory for fewer far-timer migrations. The geometry-sweep benchmark in
-// sched_test.go measures the trade-off across dense/uniform/far loads.
+// The engine always runs the default geometry below. init takes any other
+// bucket width and ring size so the tests can sweep them: wider buckets
+// smear a busy instant across fewer, deeper heaps; a longer ring trades
+// occupancy-scan memory for fewer far-timer migrations. The geometry-sweep
+// benchmark in sched_geom_test.go measures the trade-off across
+// dense/uniform/far loads.
 //
 // Invariants:
 //   - every ring event e satisfies base <= e.at < horizon, where
@@ -43,7 +43,7 @@ const (
 	// overflow heap.
 	defaultRingBuckets = 256
 
-	// bucketWidth and ringSpan describe the *default* geometry (kept as
+	// bucketWidth and ringSpan describe the default geometry (kept as
 	// constants for the scheduler tests' stream distributions).
 	bucketWidth = Time(1) << defaultBucketBits
 	ringSpan    = Time(defaultRingBuckets) << defaultBucketBits
@@ -67,16 +67,6 @@ type schedQueue struct {
 	horizon Time // base + span: exclusive upper bound of ring coverage
 
 	overflow eventPQ // far timers, at >= horizon
-}
-
-// configure installs a non-default geometry. It must run before any event
-// is pushed (the engine calls it at construction); reconfiguring a live
-// queue would remap every bucketed event.
-func (q *schedQueue) configure(cfg Config) {
-	if q.n != 0 || q.ring != nil {
-		panic("sim: scheduler geometry configured after first use")
-	}
-	q.init(cfg.SchedBucketBits, cfg.SchedRingBuckets)
 }
 
 // init materializes the ring; zero arguments select the defaults.

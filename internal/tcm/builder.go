@@ -8,10 +8,12 @@ import (
 	"jessica2/internal/oal"
 )
 
-// IncBuilder is the online, differential correlation daemon: the default
-// Builder of the package. Where the legacy FullBuilder re-sorts all M
-// object keys and re-accrues every pairwise cell on every Build/Peek, the
-// incremental builder maintains the N×N map continuously:
+// Builder is the correlation-computing daemon: it ingests OAL records (or
+// worker summaries) into per-object thread sets and maintains the N×N map
+// online. Where the paper's literal daemon re-sorts all M object keys and
+// re-accrues every pairwise cell on every Build/Peek (kept as the
+// FullBuilder oracle in builder_full_test.go), Builder maintains the map
+// continuously:
 //
 //   - each object's thread set is a dense []uint64 bitset (N is fixed at
 //     construction), so the repeat-access hot path is one bit test and
@@ -33,12 +35,12 @@ import (
 // counts) the conversion is exact up to 2^(63-fixedShift) ≈ 2^51 bytes per
 // add and 2^(53) scaled units ≈ 2^41 bytes ≈ 2 TB of correlated volume per
 // thread pair, far beyond any simulated run — within that envelope the
-// incremental maps are bit-identical to the legacy full rebuild (asserted
-// by the property and fuzz equivalence tests, and by the byte-compared
-// experiment renderings of the tcmfull CI gate). Fractional weights are
+// maps are bit-identical to the full rebuild (asserted by the property and
+// fuzz equivalence tests, and by the builder-identity test that replays
+// real Table II, Figure S and Figure CL streams). Fractional weights are
 // quantized to 2^-fixedShift bytes; additions saturate at MaxInt64 instead
 // of wrapping.
-type IncBuilder struct {
+type Builder struct {
 	n     int
 	words int // bitset words per object: ceil(n/64)
 	objs  map[int64]*incEntry
@@ -47,7 +49,7 @@ type IncBuilder struct {
 	// acc is the persistently-maintained N×N accumulator (both symmetric
 	// mirrors, scaled fixed-point). livePairs tracks Σ_objects C(k,2) so a
 	// charged Build reports the same cumulative simulated O(M·N²) charge
-	// the legacy accrual pass realizes, in O(1).
+	// the full accrual pass realizes, in O(1).
 	acc       []int64
 	livePairs int64
 
@@ -107,12 +109,27 @@ func satAdd(a, d int64) int64 {
 	return a + d
 }
 
-// NewIncBuilder returns an incremental daemon for n threads.
-func NewIncBuilder(n int) *IncBuilder {
+// hook, when non-nil, observes every Builder's input stream and every map
+// it renders. Only export_test.go sets it: the builder-identity test
+// replays a real run's records and summaries into the full-rebuild oracle
+// and compares each map the run reads. Production leaves it nil, which
+// costs one branch per record, summary, render or reset, never per entry.
+var hook builderHook
+
+type builderHook interface {
+	record(b *Builder, r *oal.Record)
+	summary(b *Builder, s *Summary)
+	reset(b *Builder)
+	// rendered sees each map Build (charged) or Peek/PeekInto returns.
+	rendered(b *Builder, m *Map, charged bool)
+}
+
+// NewBuilder returns a daemon for n threads.
+func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("tcm: negative dimension")
 	}
-	return &IncBuilder{
+	return &Builder{
 		n:         n,
 		words:     (n + 63) / 64,
 		objs:      make(map[int64]*incEntry),
@@ -122,17 +139,20 @@ func NewIncBuilder(n int) *IncBuilder {
 }
 
 // N returns the thread-count dimension.
-func (b *IncBuilder) N() int { return b.n }
+func (b *Builder) N() int { return b.n }
 
 // Ingest reorganizes one batch of records into the per-object state.
-func (b *IncBuilder) Ingest(batch *oal.Batch) {
+func (b *Builder) Ingest(batch *oal.Batch) {
 	for _, r := range batch.Records {
 		b.IngestRecord(r)
 	}
 }
 
 // IngestRecord reorganizes one record.
-func (b *IncBuilder) IngestRecord(r *oal.Record) {
+func (b *Builder) IngestRecord(r *oal.Record) {
+	if hook != nil {
+		hook.record(b, r)
+	}
 	b.cost.Records++
 	for _, e := range r.Entries {
 		b.cost.Entries++
@@ -147,8 +167,8 @@ func (b *IncBuilder) IngestRecord(r *oal.Record) {
 // accrues the current weight over (t, existing). A repeat access at an
 // unchanged weight — the overwhelmingly common case — is a single bit
 // test. Malformed thread ids outside [0, n) are dropped (counted in
-// DroppedEntries), exactly as in the legacy builder.
-func (b *IncBuilder) AddAccess(t int, key int64, bytes float64) {
+// DroppedEntries), exactly as in the full-rebuild oracle.
+func (b *Builder) AddAccess(t int, key int64, bytes float64) {
 	if t < 0 || t >= b.n {
 		b.cost.DroppedEntries++
 		return
@@ -165,7 +185,7 @@ func (b *IncBuilder) AddAccess(t int, key int64, bytes float64) {
 }
 
 // newEntry pops the recycle pool or allocates a zeroed entry.
-func (b *IncBuilder) newEntry() *incEntry {
+func (b *Builder) newEntry() *incEntry {
 	if n := len(b.free); n > 0 {
 		oe := b.free[n-1]
 		b.free[n-1] = nil
@@ -177,7 +197,7 @@ func (b *IncBuilder) newEntry() *incEntry {
 
 // upgrade raises the entry weight, re-accruing the fixed-point difference
 // over the existing pair set.
-func (b *IncBuilder) upgrade(oe *incEntry, bytes float64) {
+func (b *Builder) upgrade(oe *incEntry, bytes float64) {
 	nf := toFixed(bytes)
 	if d := nf - oe.fixed; d > 0 && oe.count >= 2 {
 		ts := b.members(oe)
@@ -192,7 +212,7 @@ func (b *IncBuilder) upgrade(oe *incEntry, bytes float64) {
 
 // members renders the entry's bitset into the shared ts scratch, ascending
 // (word-wise iteration; the ids emerge already sorted).
-func (b *IncBuilder) members(oe *incEntry) []int32 {
+func (b *Builder) members(oe *incEntry) []int32 {
 	ts := b.ts[:0]
 	for wi, w := range oe.bits {
 		for w != 0 {
@@ -207,7 +227,7 @@ func (b *IncBuilder) members(oe *incEntry) []int32 {
 // addThread inserts t into the entry's bitset, accruing the current weight
 // against every existing member and maintaining the pending and simulated
 // pair-charge bookkeeping.
-func (b *IncBuilder) addThread(oe *incEntry, key int64, t int) {
+func (b *Builder) addThread(oe *incEntry, key int64, t int) {
 	w, bit := t>>6, uint64(1)<<uint(t&63)
 	if oe.bits[w]&bit != 0 {
 		return // repeat access: the hot path
@@ -231,7 +251,7 @@ func (b *IncBuilder) addThread(oe *incEntry, key int64, t int) {
 
 // accrue adds a fixed-point delta to the (i, j) cell pair and marks the
 // canonical cell dirty for the next incremental PeekInto re-sync.
-func (b *IncBuilder) accrue(i, j int, d int64) {
+func (b *Builder) accrue(i, j int, d int64) {
 	if i == j {
 		return
 	}
@@ -260,22 +280,28 @@ func (b *IncBuilder) accrue(i, j int, d int64) {
 
 // Build renders the maintained TCM and charges the cost ledger with the
 // paper's full accrual pass — Objects = M and PairAdds += Σ C(k,2), the
-// identical cumulative simulated charge the legacy builder realizes — in
+// identical cumulative simulated charge the full accrual pass realizes — in
 // O(N²) host work independent of M.
-func (b *IncBuilder) Build() (*Map, BuildCost) {
+func (b *Builder) Build() (*Map, BuildCost) {
 	m := NewMap(b.n)
 	b.render(m)
 	b.cost.Objects = len(b.objs)
 	b.cost.PairAdds += b.livePairs
+	if hook != nil {
+		hook.rendered(b, m, true)
+	}
 	return m, b.cost
 }
 
 // Peek renders the same map Build would without touching the cost ledger:
 // a live-snapshot read must leave the simulated analyzer's accounting
 // exactly as a later charged Build would have found it.
-func (b *IncBuilder) Peek() *Map {
+func (b *Builder) Peek() *Map {
 	m := NewMap(b.n)
 	b.render(m)
+	if hook != nil {
+		hook.rendered(b, m, false)
+	}
 	return m
 }
 
@@ -286,7 +312,7 @@ func (b *IncBuilder) Peek() *Map {
 // allocates). The returned map aliases dst, is valid until the next
 // PeekInto, and must not be written to by the caller (a foreign write would
 // desynchronize the dirty-cell mirror).
-func (b *IncBuilder) PeekInto(dst *Map) *Map {
+func (b *Builder) PeekInto(dst *Map) *Map {
 	if dst != nil && dst == b.peekDst && dst.n == b.n && !b.allDirty {
 		for _, ci := range b.dirty {
 			i, j := ci/b.n, ci%b.n
@@ -295,25 +321,28 @@ func (b *IncBuilder) PeekInto(dst *Map) *Map {
 			dst.cells[j*b.n+i] = v
 		}
 		b.resetDirty()
-		return dst
+	} else {
+		dst = dst.Reuse(b.n)
+		b.render(dst)
+		b.resetDirty()
+		b.peekDst = dst
 	}
-	dst = dst.Reuse(b.n)
-	b.render(dst)
-	b.resetDirty()
-	b.peekDst = dst
+	if hook != nil {
+		hook.rendered(b, dst, false)
+	}
 	return dst
 }
 
 // render converts the whole accumulator into dst (dst dimensions must
 // already match).
-func (b *IncBuilder) render(dst *Map) {
+func (b *Builder) render(dst *Map) {
 	for i, v := range b.acc {
 		dst.cells[i] = toFloat(v)
 	}
 }
 
 // resetDirty clears the dirty-cell tracking after a re-sync.
-func (b *IncBuilder) resetDirty() {
+func (b *Builder) resetDirty() {
 	clear(b.dirtyMark)
 	b.dirty = b.dirty[:0]
 	b.allDirty = false
@@ -332,7 +361,7 @@ func (b *IncBuilder) resetDirty() {
 // threads rebuild their correlations naturally. Out-of-range ids are
 // ignored. The scratch mirror is invalidated, so the next PeekInto is a
 // full O(N²) render.
-func (b *IncBuilder) DecayThreads(threads []int, factor float64) {
+func (b *Builder) DecayThreads(threads []int, factor float64) {
 	if factor < 0 || math.IsNaN(factor) {
 		factor = 0
 	}
@@ -369,7 +398,7 @@ func (b *IncBuilder) DecayThreads(threads []int, factor float64) {
 // state. The scratch mirror is invalidated, so the next PeekInto is a full
 // O(N²) render. Dimension mismatches are ignored (the session layer only
 // seeds fingerprint-matched profiles).
-func (b *IncBuilder) SeedMap(m *Map) {
+func (b *Builder) SeedMap(m *Map) {
 	if m == nil || m.n != b.n {
 		return
 	}
@@ -393,7 +422,7 @@ func (b *IncBuilder) SeedMap(m *Map) {
 // visit returns true are retired from the pending list — O(new) work per
 // epoch; entries declined with false stay pending for the next call.
 // Without consume the list is left untouched (an ad-hoc snapshot peek).
-func (b *IncBuilder) VisitNewlyShared(consume bool, visit func(key int64, bytes float64, threads []int32) bool) {
+func (b *Builder) VisitNewlyShared(consume bool, visit func(key int64, bytes float64, threads []int32) bool) {
 	if len(b.pending) == 0 {
 		return
 	}
@@ -418,7 +447,7 @@ func (b *IncBuilder) VisitNewlyShared(consume bool, visit func(key int64, bytes 
 // (sorted by key for determinism) — the worker-side half of the distributed
 // reduction. The bitsets iterate in ascending id order, so no per-object
 // sort is needed.
-func (b *IncBuilder) Summarize() *Summary {
+func (b *Builder) Summarize() *Summary {
 	s := &Summary{Objs: make([]ObjSummary, 0, len(b.objs))}
 	keys := b.keys[:0]
 	for k := range b.objs {
@@ -440,8 +469,11 @@ func (b *IncBuilder) Summarize() *Summary {
 // IngestSummary merges a worker summary into the builder (the master-side
 // half): the larger byte estimate wins — its delta re-accrued over the
 // existing pair set — and thread sets union with malformed out-of-range ids
-// dropped, matching AddAccess and the legacy builder's accounting.
-func (b *IncBuilder) IngestSummary(s *Summary) {
+// dropped, matching AddAccess and the full-rebuild oracle's accounting.
+func (b *Builder) IngestSummary(s *Summary) {
+	if hook != nil {
+		hook.summary(b, s)
+	}
 	for _, o := range s.Objs {
 		oe := b.objs[o.Key]
 		if oe == nil {
@@ -464,14 +496,17 @@ func (b *IncBuilder) IngestSummary(s *Summary) {
 
 // Merge unions another builder's state into b (in-process variant of the
 // summary path, used by tests and by hierarchical reductions).
-func (b *IncBuilder) Merge(other *IncBuilder) {
+func (b *Builder) Merge(other *Builder) {
 	b.IngestSummary(other.Summarize())
 }
 
 // Reset clears ingested state for the next profiling window in one pass:
 // accumulator, pending list and simulated-charge counters zero, entries
 // recycle into the capped pool.
-func (b *IncBuilder) Reset() {
+func (b *Builder) Reset() {
+	if hook != nil {
+		hook.reset(b)
+	}
 	recycled := len(b.objs)
 	for _, oe := range b.objs {
 		oe.bytes, oe.fixed, oe.count = 0, 0, 0

@@ -9,14 +9,14 @@ import (
 	"jessica2/internal/oal"
 )
 
-// The incremental builder's contract is bit-equality with the legacy full
+// Builder's contract is bit-equality with the FullBuilder oracle's full
 // rebuild on the simulator's weight domain (integral byte counts within the
 // fixed-point envelope). These property tests drive both implementations
 // through identical random streams of raw accesses, weight upgrades,
 // malformed thread ids, record and summary ingestion, peeks, charged builds
 // and window resets, and assert every observable — map cells, cost ledger,
-// summaries — matches exactly. They compile under both build tags, so the
-// CI `-tags tcmfull` job re-runs them with the alias flipped.
+// summaries — matches exactly. identity_test.go checks the same contract on
+// real experiment streams.
 
 // equivRand is the same tiny deterministic generator the scheduler's
 // property tests use.
@@ -54,7 +54,7 @@ func assertCostsEqual(t *testing.T, tag string, inc, full BuildCost) {
 }
 
 // TestIncrementalEquivalenceRandomStreams is the central property: on
-// random op streams the incremental and legacy builders are observationally
+// random op streams Builder and the FullBuilder oracle are observationally
 // identical — bit-equal maps from Build/Peek/PeekInto (including reused
 // scratch), equal simulated cost ledgers, and equal summaries.
 func TestIncrementalEquivalenceRandomStreams(t *testing.T) {
@@ -63,7 +63,7 @@ func TestIncrementalEquivalenceRandomStreams(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := equivRand(seed * 0x1234567)
-			inc := NewIncBuilder(n)
+			inc := NewBuilder(n)
 			full := NewFullBuilder(n)
 			var incScratch, fullScratch *Map
 			for op := 0; op < 4000; op++ {
@@ -149,7 +149,7 @@ func TestIncrementalEquivalenceRandomStreams(t *testing.T) {
 func TestIncrementalEquivalenceWideDimension(t *testing.T) {
 	const n = 130
 	rng := equivRand(0xfeedface)
-	inc := NewIncBuilder(n)
+	inc := NewBuilder(n)
 	full := NewFullBuilder(n)
 	for op := 0; op < 6000; op++ {
 		th := int(rng.next() % n)
@@ -166,9 +166,9 @@ func TestIncrementalEquivalenceWideDimension(t *testing.T) {
 
 // TestIncrementalUpgradeDelta pins the differential weight-upgrade path:
 // the upgrade's delta re-accrual over the existing pair set must equal the
-// legacy builder's from-scratch rebuild with the final max weight.
+// oracle's from-scratch rebuild with the final max weight.
 func TestIncrementalUpgradeDelta(t *testing.T) {
-	inc := NewIncBuilder(4)
+	inc := NewBuilder(4)
 	full := NewFullBuilder(4)
 	for _, b := range []*struct {
 		add func(t int, key int64, w float64)
@@ -193,7 +193,7 @@ func TestIncrementalUpgradeDelta(t *testing.T) {
 // incremental builder must replicate that simulated charge exactly even
 // though its host-side Build is O(1).
 func TestBuildCostCumulativeCharge(t *testing.T) {
-	inc := NewIncBuilder(3)
+	inc := NewBuilder(3)
 	full := NewFullBuilder(3)
 	for _, add := range []func(int, int64, float64){inc.AddAccess, full.AddAccess} {
 		add(0, 1, 100)

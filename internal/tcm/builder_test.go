@@ -8,12 +8,12 @@ import (
 // TestFreePoolCapAfterStormWindow is the pool-growth regression test: a
 // storm window that ingests a huge object population must not permanently
 // pin its peak entry memory — within one subsequent small window the
-// recycle pool must shrink to the small window's working set. Both builder
-// variants share the freePoolCap policy.
+// recycle pool must shrink to the small window's working set. Builder and
+// the FullBuilder oracle share the freePoolCap policy.
 func TestFreePoolCapAfterStormWindow(t *testing.T) {
 	const storm, small = 20000, 50
 	t.Run("incremental", func(t *testing.T) {
-		b := NewIncBuilder(4)
+		b := NewBuilder(4)
 		for o := int64(0); o < storm; o++ {
 			b.AddAccess(int(o)%4, o, 64)
 		}
@@ -63,7 +63,7 @@ func TestFreePoolCapAfterStormWindow(t *testing.T) {
 // resets and dirty-list overflow into the allDirty fallback.
 func TestPeekIntoDirtyPath(t *testing.T) {
 	const n = 8
-	b := NewIncBuilder(n)
+	b := NewBuilder(n)
 	rng := equivRand(0xd1e7)
 	dst := b.PeekInto(nil)
 	check := func(tag string) {
@@ -103,7 +103,7 @@ func TestPeekIntoDirtyPath(t *testing.T) {
 // declined entries stay pending, ad-hoc (non-consuming) visits do not
 // retire anything, and Reset clears the list.
 func TestVisitNewlySharedPending(t *testing.T) {
-	b := NewIncBuilder(4)
+	b := NewBuilder(4)
 	collect := func(consume bool, accept func(key int64) bool) []int64 {
 		var keys []int64
 		b.VisitNewlyShared(consume, func(key int64, bytes float64, threads []int32) bool {
@@ -161,7 +161,7 @@ func TestVisitNewlySharedPending(t *testing.T) {
 func TestVisitNewlySharedParityWithFull(t *testing.T) {
 	const n = 6
 	rng := equivRand(0x5eed)
-	inc := NewIncBuilder(n)
+	inc := NewBuilder(n)
 	full := NewFullBuilder(n)
 	incSeen := map[int64]bool{}
 	fullSeen := map[int64]bool{}

@@ -117,7 +117,7 @@ func FuzzBuilder(f *testing.F) {
 	})
 }
 
-// FuzzBuilderEquivalence drives the incremental and legacy builders through
+// FuzzBuilderEquivalence drives Builder and the FullBuilder oracle through
 // one adversarial op stream — raw accesses with hostile thread ids, weight
 // upgrades, record and summary ingestion, charged builds, scratch peeks and
 // window resets — and asserts the two stay observationally identical:
@@ -147,7 +147,7 @@ func FuzzBuilderEquivalence(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 8
-		inc := NewIncBuilder(n)
+		inc := NewBuilder(n)
 		full := NewFullBuilder(n)
 		var incScratch, fullScratch *Map
 		compare := func(tag string, mi, mf *Map) {

@@ -8,13 +8,10 @@ import (
 
 // TestSeedMap: a seeded empty builder peeks exactly the seed map.
 func TestSeedMap(t *testing.T) {
-	if BuilderVariant() != "incremental" {
-		t.Skip("SeedMap is a documented no-op on the legacy full builder")
-	}
 	seed := NewMap(4)
 	seed.Set(0, 1, 100)
 	seed.Set(1, 2, 40)
-	b := NewIncBuilder(4)
+	b := NewBuilder(4)
 	b.SeedMap(seed)
 	m := b.Peek()
 	for i := 0; i < 4; i++ {
@@ -28,12 +25,9 @@ func TestSeedMap(t *testing.T) {
 
 // TestSeedMapThenAccrue: live evidence adds on top of the seed.
 func TestSeedMapThenAccrue(t *testing.T) {
-	if BuilderVariant() != "incremental" {
-		t.Skip("SeedMap is a documented no-op on the legacy full builder")
-	}
 	seed := NewMap(4)
 	seed.Set(0, 1, 100)
-	b := NewIncBuilder(4)
+	b := NewBuilder(4)
 	b.SeedMap(seed)
 	b.AddAccess(0, 10, 28)
 	b.AddAccess(1, 10, 28)
@@ -45,13 +39,10 @@ func TestSeedMapThenAccrue(t *testing.T) {
 // TestSeedMapChargesNothing: seeding is prior knowledge, not measurement —
 // the cost ledger and live-pair statistics stay untouched.
 func TestSeedMapChargesNothing(t *testing.T) {
-	if BuilderVariant() != "incremental" {
-		t.Skip("SeedMap is a documented no-op on the legacy full builder")
-	}
 	seed := NewMap(4)
 	seed.Set(0, 1, 100)
 	seed.Set(2, 3, 100)
-	b := NewIncBuilder(4)
+	b := NewBuilder(4)
 	b.SeedMap(seed)
 	_, cost := b.Build()
 	if cost.PairAdds != 0 || cost.Objects != 0 || cost.Entries != 0 {
@@ -62,10 +53,7 @@ func TestSeedMapChargesNothing(t *testing.T) {
 // TestSeedMapInvalidatesPeekScratch: a seed applied between two PeekInto
 // calls on the same scratch must appear in the second peek.
 func TestSeedMapInvalidatesPeekScratch(t *testing.T) {
-	if BuilderVariant() != "incremental" {
-		t.Skip("SeedMap is a documented no-op on the legacy full builder")
-	}
-	b := NewIncBuilder(4)
+	b := NewBuilder(4)
 	scratch := b.PeekInto(nil)
 	seed := NewMap(4)
 	seed.Set(1, 3, 64)
@@ -80,10 +68,7 @@ func TestSeedMapInvalidatesPeekScratch(t *testing.T) {
 // (the session only seeds fingerprint-matched profiles; anything else is
 // not evidence), and zero-only maps leave the builder truly empty.
 func TestSeedMapEdgeCases(t *testing.T) {
-	if BuilderVariant() != "incremental" {
-		t.Skip("SeedMap is a documented no-op on the legacy full builder")
-	}
-	b := NewIncBuilder(4)
+	b := NewBuilder(4)
 	b.SeedMap(nil)
 	b.SeedMap(NewMap(3)) // wrong dimension
 	b.SeedMap(NewMap(4)) // all-zero: nothing to seed
@@ -96,7 +81,7 @@ func TestSeedMapEdgeCases(t *testing.T) {
 // store's fixed-point serialization bit-exactly (AppendFixedCells feeds
 // NewMapFromFixed, which feeds SeedMap on warm start).
 func TestFixedCellsRoundTrip(t *testing.T) {
-	b := NewIncBuilder(3)
+	b := NewBuilder(3)
 	b.AddAccess(0, 10, 100)
 	b.AddAccess(1, 10, 100)
 	b.AddAccess(1, 20, 3.1415926)
@@ -130,9 +115,9 @@ func TestNewMapFromFixedPanicsOnBadLength(t *testing.T) {
 // baseline) including values with no finite Q12 representation.
 func TestCellBitsRoundTrip(t *testing.T) {
 	m := NewMap(3)
-	m.Add(0, 1, 0.1)                          // not representable in Q12
+	m.Add(0, 1, 0.1) // not representable in Q12
 	m.Add(1, 2, 3.1415926)
-	m.Add(0, 2, math.SmallestNonzeroFloat64)  // underflows fixed point
+	m.Add(0, 2, math.SmallestNonzeroFloat64) // underflows fixed point
 	bits := m.AppendCellBits(nil)
 	back := NewMapFromBits(3, bits)
 	for i := 0; i < 3; i++ {

@@ -238,10 +238,10 @@ func (m *Map) String() string {
 // and TCM accrual is O(M·N²) worst case (PairAdds counts the realized
 // pairwise additions).
 //
-// The ledger reports the paper's *simulated* charge: both builder variants
-// (the incremental default and the `-tags tcmfull` legacy full rebuild)
-// account a charged Build as the full O(M·N²) reorganize-and-accrue pass,
-// even though the incremental builder's host-side work per Build is O(1).
+// The ledger reports the paper's *simulated* charge: Builder accounts a
+// charged Build as the full O(M·N²) reorganize-and-accrue pass, exactly as
+// the full-rebuild oracle does, even though its host-side work per Build
+// is O(1).
 // The simulated analyzer the tables charge is the paper's daemon, not our
 // maintenance strategy.
 type BuildCost struct {
@@ -255,7 +255,7 @@ type BuildCost struct {
 }
 
 // freePoolCap bounds the builder entry pools retained across Reset: a storm
-// window must not permanently pin its peak objEntry population. Keeping
+// window must not permanently pin its peak entry population. Keeping
 // 2×(the window just recycled)+slack adapts the pool to the current working
 // set within one window of a large→small transition.
 func freePoolCap(recycled int) int { return 2*recycled + 64 }

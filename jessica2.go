@@ -22,7 +22,7 @@
 //
 // # Quick start
 //
-// The primary entry point is the epoch-driven Session: launch a workload,
+// The entry point is the epoch-driven Session: launch a workload,
 // optionally attach profiling and a closed-loop policy, then step or run.
 // At every epoch boundary the session pauses the cluster at a safe point,
 // snapshots the live profiling state (incremental TCM, per-thread
@@ -51,9 +51,9 @@
 //		fmt.Println(snap.Now, snap.Kernel.Faults)
 //	}
 //
-// The deprecated System facade (New/Launch/AttachProfiling/Run) remains as
-// a thin compatibility wrapper over a single-epoch session; unlike Session,
-// whose misuse returns errors, System keeps its historical panics.
+// Without a policy, Run executes the whole workload as one epoch: the
+// classic post-hoc profiling run, whose Report carries the final TCM and
+// counters.
 package jessica2
 
 import (
@@ -81,10 +81,6 @@ import (
 
 // Time is virtual simulation time in nanoseconds.
 type Time = sim.Time
-
-// SchedConfig tunes the engine's calendar-scheduler geometry (see
-// sim.Config).
-type SchedConfig = sim.Config
 
 // Common durations.
 const (
@@ -304,12 +300,6 @@ var (
 	DefaultFootprinter    = sticky.DefaultFootprinterConfig
 )
 
-// TCMBuilderVariant names the correlation-daemon implementation this
-// binary was built with: "incremental" (the default online builder) or
-// "full" (the legacy rebuild selected by -tags tcmfull). CLI perf reports
-// embed it so artifacts are self-describing.
-var TCMBuilderVariant = tcm.BuilderVariant
-
 // Distance metrics (paper equations 1 and 2) and accuracy.
 var (
 	DistanceEUC = tcm.DistanceEUC
@@ -343,12 +333,6 @@ type Config struct {
 	// Costs overrides the CPU cost model field by field (zero fields keep
 	// their calibrated defaults).
 	Costs gos.CostModel
-	// Sched tunes the simulation engine's calendar-scheduler geometry
-	// (bucket width and ring size; the zero value keeps the defaults,
-	// 4096 ns × 256 buckets). Geometry never changes results — only the
-	// scheduler's host-side cost — which the sim package's pop-order
-	// property tests guarantee.
-	Sched SchedConfig
 	// Scenario, when non-nil, perturbs the run with the fault-injection
 	// scenario engine (heterogeneous CPUs, link ramps, jitter, transient
 	// slowdowns, workload phase shifts, node crashes, partitions, lossy
@@ -397,7 +381,6 @@ func (cfg Config) kernelConfig() gos.Config {
 	}
 	kcfg.Net = mergeNetwork(kcfg.Net, cfg.Network)
 	kcfg.Costs = mergeCosts(kcfg.Costs, cfg.Costs)
-	kcfg.Sched = cfg.Sched
 	kcfg.Failure = cfg.Failure
 	return kcfg
 }
@@ -561,9 +544,9 @@ var (
 	ErrNotFinished = session.ErrNotFinished
 )
 
-// Session is an epoch-driven closed-loop run of the distributed JVM: the
-// primary API. Construction is chainable; configuration errors surface on
-// the first call that uses them.
+// Session is an epoch-driven closed-loop run of the distributed JVM, and
+// the library's one run API. Configuration errors surface on the first
+// call that uses them.
 type Session struct {
 	s *session.Session
 }
@@ -671,81 +654,6 @@ func (s *Session) Report() (*Report, error) {
 		return nil, err
 	}
 	return &Report{s: s.s}, nil
-}
-
-// --- deprecated one-shot facade ---------------------------------------------
-
-// System is the classic post-hoc facade: one Launch/AttachProfiling/Run
-// cycle over a single-epoch session.
-//
-// Deprecated: use Session, whose misuse returns errors. System keeps its
-// historical panics for compatibility.
-type System struct {
-	sess *Session
-	ran  bool
-}
-
-// New builds a system from the config. It panics on an invalid scenario
-// (Session records the error instead).
-func New(cfg Config) *System {
-	sess := NewSession(cfg)
-	if err := sess.s.Err(); err != nil {
-		panic(err)
-	}
-	return &System{sess: sess}
-}
-
-// Kernel exposes the underlying DJVM.
-func (s *System) Kernel() *Kernel { return s.sess.Kernel() }
-
-// Phase exposes the workload phase register the scenario engine drives.
-func (s *System) Phase() *Phase { return s.sess.Phase() }
-
-// Session exposes the underlying session (migration aid).
-func (s *System) Session() *Session { return s.sess }
-
-// Launch registers a workload's classes and spawns its threads. It panics
-// after Run.
-func (s *System) Launch(w Workload, p Params) *System {
-	if s.ran {
-		panic("jessica2: Launch after Run")
-	}
-	if err := s.sess.Launch(w, p); err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// AttachProfiling wires the profiling subsystems. Call after Launch; it
-// panics after Run.
-func (s *System) AttachProfiling(cfg ProfileConfig) *Profiler {
-	if s.ran {
-		panic("jessica2: AttachProfiling after Run")
-	}
-	p, err := s.sess.AttachProfiling(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Run executes the simulation to completion and returns the report. It
-// panics when called twice.
-func (s *System) Run() *Report {
-	if s.ran {
-		panic("jessica2: Run called twice")
-	}
-	s.ran = true
-	rep, err := s.sess.Run()
-	if err != nil {
-		panic(err)
-	}
-	return rep
-}
-
-// Report summarizes the run (live counters before Run completes).
-func (s *System) Report() *Report {
-	return &Report{s: s.sess.s}
 }
 
 // Profiler wraps the attached profiling subsystem.
@@ -864,9 +772,9 @@ var LocalVolume = balancer.LocalVolume
 // BlockedPlacement is the spawn-order default placement.
 var BlockedPlacement = balancer.Blocked
 
-// NewMigrationEngine builds a migration engine over a system's kernel.
-// Session users get one implicitly via MigrateThread actions and
-// MigrationHistory.
-func NewMigrationEngine(s *System) *migration.Engine {
+// NewMigrationEngine builds a standalone migration engine over a session's
+// kernel, for callers migrating threads by hand. Policies get one
+// implicitly via MigrateThread actions and MigrationHistory.
+func NewMigrationEngine(s *Session) *migration.Engine {
 	return migration.NewEngine(s.Kernel(), migration.DefaultConfig())
 }

@@ -2,7 +2,6 @@ package jessica2_test
 
 import (
 	"bytes"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -278,29 +277,10 @@ func TestProfileSaveGoldenIdentity(t *testing.T) {
 // exercised: same stepping, same policy, plus CapturedProfile at the end.
 func profileArmedTrace(t *testing.T, c goldenCase, seed uint64) string {
 	t.Helper()
-	cfg := jessica2.DefaultConfig()
-	cfg.Nodes = 4
+	cfg := goldenConfig(nil)
 	cfg.Profile = jessica2.ProfileIO{Save: true}
-	sess := jessica2.NewSession(cfg)
-	if err := sess.Launch(c.make(), jessica2.Params{Threads: 6, Seed: seed}); err != nil {
-		t.Fatal(err)
-	}
-	prof, err := sess.AttachProfiling(jessica2.ProfileConfig{Rate: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.SetPolicy(jessica2.NopPolicy{}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		done, err := sess.Step(10 * jessica2.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
+	sess, prof := goldenSession(t, cfg, c, seed)
+	rep := stepNop(t, sess)
 	captured, err := sess.CapturedProfile()
 	if err != nil {
 		t.Fatal(err)
@@ -308,17 +288,5 @@ func profileArmedTrace(t *testing.T, c goldenCase, seed uint64) string {
 	if captured.TCMThreads != 6 {
 		t.Fatalf("captured TCM dimension %d, want 6", captured.TCMThreads)
 	}
-	rep, err := sess.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var sb strings.Builder
-	sb.WriteString(rep.String())
-	fmt.Fprintf(&sb, "kernel: %+v\n", rep.KernelStats())
-	fmt.Fprintf(&sb, "net: %v", rep.NetworkStats())
-	fmt.Fprintf(&sb, "oal=%d gos=%d\n", rep.OALBytes(), rep.GOSBytes())
-	sb.WriteString(rep.TCM().String())
-	fmt.Fprintf(&sb, "stackcpu=%v\n", prof.StackCPU())
-	return sb.String()
+	return renderTrace(rep, prof)
 }
