@@ -102,9 +102,9 @@ bench:
 	go test -bench=. -benchmem -run '^$$' ./...
 	go run ./cmd/djvmbench -benchjson $(BENCH) -scale $(SCALE)
 
-# bench-seq is the single-threaded escape hatch: perf artifacts captured on
-# the classic sequential path (one worker, GOMAXPROCS pinned per run), for
-# baselines and for machines where fan-out would only add scheduler noise.
+# bench-seq captures perf artifacts on one worker (jobs inline, in
+# submission order), for baselines and for machines where fan-out would
+# only add scheduler noise.
 bench-seq:
 	JESSICA2_PARALLEL=1 go test -bench=. -benchmem -run '^$$' ./...
 	go run ./cmd/djvmbench -benchjson $(BENCH) -scale $(SCALE) -parallel 1

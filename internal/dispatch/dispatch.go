@@ -452,6 +452,9 @@ func (d *Dispatcher) heartbeatLoop(b *batch, w *batchWorker) {
 			lastOK = time.Now()
 			continue
 		}
+		if w.ctx.Err() != nil {
+			return // released (or already lost) mid-probe: not a silence
+		}
 		if time.Since(lastOK) >= d.cfg.HeartbeatTimeout {
 			d.declareLost(w, fmt.Sprintf("heartbeat silent for %v", time.Since(lastOK).Round(time.Millisecond)))
 			return

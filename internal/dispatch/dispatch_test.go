@@ -285,6 +285,38 @@ func (s *stubWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.inner.ServeHTTP(w, r)
 }
 
+// TestReleaseMidProbeIsNotALoss: the end of a batch releases each worker
+// by cancelling its context, which aborts a heartbeat probe in flight. That
+// abort is not a silent worker, even when the probe has been outstanding
+// for longer than HeartbeatTimeout.
+func TestReleaseMidProbeIsNotALoss(t *testing.T) {
+	inFlight := make(chan struct{}, 1)
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case inFlight <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+	}))
+	defer slow.Close()
+	cfg := fastConfig(slow.URL)
+	cfg.RequestTimeout = 10 * time.Second // the probe outlives the test's wait
+	d := New(cfg)
+	w := newBatchWorker(slow.URL)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.heartbeatLoop(nil, w)
+	}()
+	<-inFlight
+	time.Sleep(2 * cfg.HeartbeatTimeout)
+	w.cancel()
+	<-done
+	if s := d.Stats(); s.WorkersLost != 0 {
+		t.Fatalf("a worker released mid-probe was declared dead: %+v", s)
+	}
+}
+
 // TestHungWorkerLeaseTTLReassigns: a worker that accepts jobs but never
 // finishes them (alive, heartbeating, wedged) must not wedge the batch —
 // its leases expire on TTL and the jobs land on the healthy worker.

@@ -19,14 +19,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"jessica2/internal/sim"
 )
 
-// Pool bounds the worker fan-out. The zero value and nil both mean
-// sequential inline execution (one worker, no goroutines), which keeps the
-// simulator's GOMAXPROCS pin and is the right default for benchmarks that
-// measure single-run cost.
+// Pool bounds the worker fan-out. A nil pool, the zero value and New(1) all
+// mean sequential inline execution: one worker, the caller's goroutine, jobs
+// in submission order. That is the right default for benchmarks that measure
+// single-run cost.
 type Pool struct {
 	workers int
 }
@@ -39,9 +37,6 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Sequential is the explicit one-worker pool (same behavior as nil).
-func Sequential() *Pool { return &Pool{workers: 1} }
-
 // Workers reports the pool width; a nil or zero pool is one worker.
 func (p *Pool) Workers() int {
 	if p == nil || p.workers < 1 {
@@ -49,9 +44,6 @@ func (p *Pool) Workers() int {
 	}
 	return p.workers
 }
-
-// Parallel reports whether the pool actually fans out.
-func (p *Pool) Parallel() bool { return p.Workers() > 1 }
 
 // JobPanic carries a job panic out of Collect with the original panic value
 // and the panicking goroutine's stack intact. Collect re-panics with a
@@ -93,9 +85,7 @@ func (p *JobPanic) Unwrap() error {
 // A panicking job does not tear down its worker: remaining jobs still run,
 // and the first panic (by job index, deterministically) is re-raised on the
 // caller as a *JobPanic preserving the original value and stack once all
-// workers have parked. While jobs are in flight the simulator's
-// process-global tunings are suspended (sim.EnterParallel), so concurrent
-// engines neither race on them nor serialize each other.
+// workers have parked.
 func Collect[T any](p *Pool, jobs []func() T) []T {
 	out := make([]T, len(jobs))
 	workers := p.Workers()
@@ -108,9 +98,6 @@ func Collect[T any](p *Pool, jobs []func() T) []T {
 		}
 		return out
 	}
-
-	sim.EnterParallel()
-	defer sim.LeaveParallel()
 
 	var (
 		cursor atomic.Int64

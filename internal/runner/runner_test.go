@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"jessica2/internal/sim"
 )
 
 func TestCollectOrderPreserved(t *testing.T) {
@@ -135,6 +137,37 @@ func TestCollectPanicUnwrapsError(t *testing.T) {
 	})
 }
 
+// TestCollectSurvivesProcPanic: a panic inside a simulated proc reaches
+// the pool as an ordinary job panic — the process survives and the caller
+// gets a *JobPanic whose chain holds the proc's *sim.ProcPanic.
+func TestCollectSurvivesProcPanic(t *testing.T) {
+	boom := errors.New("boom")
+	defer func() {
+		jp, ok := recover().(*JobPanic)
+		if !ok {
+			t.Fatal("expected *JobPanic")
+		}
+		var pp *sim.ProcPanic
+		if !errors.As(jp, &pp) {
+			t.Fatalf("errors.As found no *sim.ProcPanic in %v", jp)
+		}
+		if pp.Proc != "crasher" || !errors.Is(jp, boom) {
+			t.Fatalf("ProcPanic = %+v, want proc crasher carrying boom", pp)
+		}
+	}()
+	Collect(New(2), []func() sim.Time{
+		func() sim.Time {
+			e := sim.NewEngine()
+			e.Spawn("crasher", func(p *sim.Proc) {
+				p.Sleep(5)
+				panic(boom)
+			})
+			return e.Run()
+		},
+		func() sim.Time { return 0 },
+	})
+}
+
 func TestNilAndSequentialPoolsRunInline(t *testing.T) {
 	// Inline execution must use the calling goroutine in submission order.
 	var order []int
@@ -149,7 +182,7 @@ func TestNilAndSequentialPoolsRunInline(t *testing.T) {
 			return i
 		}
 	}
-	for _, p := range []*Pool{nil, Sequential(), {}} {
+	for _, p := range []*Pool{nil, {}, New(1)} {
 		order = order[:0]
 		out := Collect(p, jobs)
 		for i := range jobs {
@@ -157,8 +190,8 @@ func TestNilAndSequentialPoolsRunInline(t *testing.T) {
 				t.Fatalf("pool %+v: order=%v out=%v", p, order, out)
 			}
 		}
-		if p.Parallel() {
-			t.Fatalf("pool %+v claims to be parallel", p)
+		if p.Workers() != 1 {
+			t.Fatalf("pool %+v has %d workers, want 1", p, p.Workers())
 		}
 	}
 }

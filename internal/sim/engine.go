@@ -2,8 +2,9 @@
 // simulation engine. It is the substrate on which the distributed JVM
 // (cluster nodes, network, threads) is modelled.
 //
-// The engine owns a virtual clock. Simulated activities are Procs: goroutines
-// that run cooperatively, one at a time, under the control of the scheduler.
+// The engine owns a virtual clock. Simulated activities are Procs:
+// coroutines (iter.Pull) that run one at a time, resumed by the scheduler
+// and switching back to it whenever they sleep or block.
 // A Proc advances the clock by sleeping or by using a Resource (e.g. a node
 // CPU); it can block on a WaitQueue and be woken by another Proc or by an
 // event closure. Events at the same virtual time fire in the order they were
@@ -12,9 +13,9 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
+	"runtime/debug"
 	"sort"
-	"sync/atomic"
 )
 
 // Time is virtual time in nanoseconds.
@@ -126,25 +127,19 @@ func (q *eventPQ) pop() event {
 	return top
 }
 
-// Engine is the simulation scheduler. It is not safe for concurrent use by
-// multiple OS threads except through the Proc cooperation protocol.
+// Engine is the simulation scheduler. It is not safe for concurrent use;
+// its procs run only while the scheduler has switched to them.
 type Engine struct {
 	now     Time
 	queue   schedQueue
 	seq     uint64
 	procs   []*Proc
 	running int // procs started and not yet finished
-	cur     *Proc
 	stopped bool
-
-	// sched <- struct{}{} hands control back to the scheduler loop.
-	sched chan struct{}
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{sched: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -167,56 +162,74 @@ func (e *Engine) After(d Time, fn func()) {
 	e.Schedule(e.now+d, fn)
 }
 
-// Spawn creates a Proc running body in a new goroutine. The Proc does not
+// Spawn creates a Proc running body as a coroutine. The Proc does not
 // start executing until the scheduler reaches its start event. Spawn may be
 // called before Run or from within a running Proc or event.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	p.wakeFn = func() { e.dispatch(p) }
 	e.procs = append(e.procs, p)
 	e.running++
 	e.Schedule(e.now, func() {
 		p.started = true
-		go func() {
-			<-p.resume // wait for first dispatch
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yieldFn = yield
 			defer func() {
 				p.done = true
 				e.running--
-				e.sched <- struct{}{}
+				// A runtime.Goexit is not recovered here, so it still
+				// propagates out of next() as a Goexit.
+				if r := recover(); r != nil {
+					panic(&ProcPanic{Proc: name, Value: r, Stack: debug.Stack()})
+				}
 			}()
 			body(p)
-		}()
+		})
 		e.dispatch(p)
 	})
 	return p
 }
 
-// dispatch transfers control to p and waits until p yields back.
+// dispatch switches to p and returns when p yields back or finishes. A
+// finished proc drops its coroutine so that e.procs does not pin it.
 func (e *Engine) dispatch(p *Proc) {
-	e.cur = p
-	p.resume <- struct{}{}
-	<-e.sched
-	e.cur = nil
+	if _, ok := p.next(); !ok {
+		p.next, p.yieldFn = nil, nil
+	}
+}
+
+// ProcPanic carries a panic out of a proc body with the original value and
+// the proc's own stack. Run and RunUntil re-panic with it on the caller;
+// without it the stack printed or recovered there would be the scheduler's,
+// not the frames that raised the panic.
+type ProcPanic struct {
+	// Proc is the panicking proc's name.
+	Proc string
+	// Value is the original panic value, unmodified.
+	Value any
+	// Stack is the proc's stack trace (debug.Stack), captured at recovery
+	// inside the proc's coroutine.
+	Stack []byte
+}
+
+func (p *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: proc %s panicked: %v", p.Proc, p.Value)
+}
+
+// Unwrap exposes a panic Value that was itself an error to errors.Is/As.
+func (p *ProcPanic) Unwrap() error {
+	if err, ok := p.Value.(error); ok {
+		return err
+	}
+	return nil
 }
 
 // Run executes events until the queue drains or Stop is called. It returns
 // the final virtual time. If procs are still blocked when the queue drains,
 // Run panics with a deadlock report (all runnable work is exhausted but the
-// simulation has not terminated).
-//
-// The simulation is strictly sequential (one proc runs at a time), so Run
-// pins GOMAXPROCS to 1 for its duration: scheduler↔proc channel handoffs
-// become direct goroutine switches instead of cross-core futex wakeups,
-// which is worth ~3× wall-clock on large runs. Inside an
-// EnterParallel/LeaveParallel region the pin is skipped — it is a
-// process-global knob, and concurrent engines each pinning it would both
-// race and serialize the whole pool.
+// simulation has not terminated). A panic in a proc body re-panics here as
+// a *ProcPanic.
 func (e *Engine) Run() Time {
-	defer pinSerial()()
 	for !e.queue.empty() && !e.stopped {
 		ev := e.queue.pop()
 		if ev.at < e.now {
@@ -241,7 +254,6 @@ func (e *Engine) Run() Time {
 // Like Run, it panics with a deadlock report if the queue drains while
 // procs are still blocked.
 func (e *Engine) RunUntil(limit Time) bool {
-	defer pinSerial()()
 	for !e.queue.empty() && !e.stopped {
 		if e.queue.nextAt() > limit {
 			if limit > e.now {
@@ -267,33 +279,8 @@ func (e *Engine) RunUntil(limit Time) bool {
 // "paused at the limit" from "finished before the limit".
 func (e *Engine) Idle() bool { return e.queue.empty() }
 
-// parallelRuns counts active EnterParallel regions process-wide.
-var parallelRuns atomic.Int32
-
-// EnterParallel marks the start of a region in which multiple engines run
-// concurrently on separate goroutines (the experiment runner's worker
-// pool). While any region is active, Run and RunUntil skip their
-// GOMAXPROCS(1) pin: the pin is process-global, so concurrent engines
-// toggling it would race with each other and force the whole pool onto one
-// core. Each engine remains single-threaded internally, so runs stay
-// deterministic either way. Pair every call with LeaveParallel.
-func EnterParallel() { parallelRuns.Add(1) }
-
-// LeaveParallel marks the end of an EnterParallel region.
-func LeaveParallel() { parallelRuns.Add(-1) }
-
-// pinSerial applies the sequential-mode GOMAXPROCS pin and returns the
-// undo; inside a parallel region it is a no-op.
-func pinSerial() func() {
-	if parallelRuns.Load() > 0 {
-		return func() {}
-	}
-	prev := runtime.GOMAXPROCS(1)
-	return func() { runtime.GOMAXPROCS(prev) }
-}
-
 // Stop halts the scheduler after the current event completes. Blocked procs
-// are abandoned (their goroutines stay parked; the process is expected to
+// are abandoned (their coroutines stay parked; the process is expected to
 // exit or the engine to be discarded).
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -315,14 +302,19 @@ func (e *Engine) blockedReport() string {
 }
 
 // Proc is a simulated process (a DJVM thread, a daemon, a protocol handler).
-// All Proc methods must be called from the Proc's own goroutine.
+// All Proc methods must be called from the Proc's own body.
 type Proc struct {
 	eng       *Engine
 	name      string
-	resume    chan struct{}
 	started   bool
 	done      bool
 	blockedAt string
+
+	// next resumes the proc's coroutine until it yields or finishes;
+	// yieldFn switches from the coroutine back to the scheduler. Both are
+	// set while the proc is started and not yet finished.
+	next    func() (struct{}, bool)
+	yieldFn func(struct{}) bool
 
 	// wakeFn is the proc's dispatch closure, built once at Spawn so that
 	// Sleep and Wake — fired once per simulated event on the hot path —
@@ -346,8 +338,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // yield returns control to the scheduler and blocks until re-dispatched.
 func (p *Proc) yield(why string) {
 	p.blockedAt = why
-	p.eng.sched <- struct{}{}
-	<-p.resume
+	p.yieldFn(struct{}{})
 	p.blockedAt = ""
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -284,6 +286,110 @@ func TestNegativeSleepPanics(t *testing.T) {
 		}()
 		p.Sleep(-1)
 	})
+	e.Run()
+}
+
+// TestProcPanicCarriesProcStack: a panic in a proc body, raised after the
+// proc has switched out and back, re-panics out of Run as a *ProcPanic
+// with the original value, the proc's name and the body's own frames.
+func TestProcPanicCarriesProcStack(t *testing.T) {
+	type marker struct{ n int }
+	cause := &marker{n: 7}
+	e := NewEngine()
+	e.Spawn("crasher", func(p *Proc) {
+		p.Sleep(10)
+		panickingProcBody(cause)
+	})
+	defer func() {
+		pp, ok := recover().(*ProcPanic)
+		if !ok {
+			t.Fatal("Run did not re-panic with a *ProcPanic")
+		}
+		if pp.Value != cause || pp.Proc != "crasher" {
+			t.Fatalf("ProcPanic = %+v, want proc crasher carrying %#v", pp, cause)
+		}
+		if !strings.Contains(string(pp.Stack), "panickingProcBody") {
+			t.Fatalf("Stack does not show the panicking frame:\n%s", pp.Stack)
+		}
+		if !strings.Contains(pp.Error(), "proc crasher panicked") {
+			t.Fatalf("wrong panic text: %q", pp.Error())
+		}
+	}()
+	e.Run()
+}
+
+//go:noinline
+func panickingProcBody(v any) { panic(v) }
+
+// TestProcGoexitPropagates: runtime.Goexit in a proc body (t.FailNow
+// inside a proc) ends the goroutine that runs the engine, like a Goexit
+// anywhere else on it, rather than turning into a panic.
+func TestProcGoexitPropagates(t *testing.T) {
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e := NewEngine()
+		e.Spawn("exiter", func(p *Proc) {
+			p.Sleep(1)
+			runtime.Goexit()
+		})
+		e.Run()
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Fatal("Run returned after a proc called runtime.Goexit")
+	}
+}
+
+// TestFinishedProcReleasesCoroutine: the engine keeps every proc in
+// e.procs, so a finished proc must drop its coroutine or each one stays
+// reachable until the engine dies.
+func TestFinishedProcReleasesCoroutine(t *testing.T) {
+	e := NewEngine()
+	p := e.Spawn("short", func(p *Proc) { p.Sleep(1) })
+	e.Run()
+	if !p.done || p.next != nil || p.yieldFn != nil {
+		t.Fatalf("finished proc still holds its coroutine (done=%v)", p.done)
+	}
+}
+
+// TestProcSwitchDoesNotAllocate guards the proc switch hot path: Sleep
+// enqueues the cached wakeFn and the coroutine switch is allocation-free.
+func TestProcSwitchDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	stop := false
+	for _, name := range []string{"ping", "pong"} {
+		e.Spawn(name, func(p *Proc) {
+			for !stop {
+				p.Sleep(1)
+			}
+		})
+	}
+	e.RunUntil(0)
+	allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) })
+	stop = true
+	e.Run()
+	if allocs != 0 {
+		t.Fatalf("proc switch allocates %v times per step, want 0", allocs)
+	}
+}
+
+// BenchmarkProcSwitch measures the proc switch: two procs alternating
+// Sleep(1), so one op is one sleep of each proc — two switches into a proc
+// and two back to the scheduler.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := NewEngine()
+	body := func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	}
+	e.Spawn("ping", body)
+	e.Spawn("pong", body)
+	b.ReportAllocs()
+	b.ResetTimer()
 	e.Run()
 }
 
