@@ -65,11 +65,11 @@ test-dispatch:
 	diff -u /tmp/j2_dist.txt /tmp/j2_local.txt && echo "dispatch identity: OK"
 	rm -f /tmp/j2_djvmworker /tmp/j2_w1.addr /tmp/j2_w2.addr /tmp/j2_dist.txt /tmp/j2_local.txt
 
-# test-serve is the open-loop traffic gauntlet: ServeMix golden determinism
-# and arrival-stream property tests under the race detector. The Figure T
-# assertion runs in `make figures`.
+# test-serve is the open-loop traffic gauntlet: ServeMix golden determinism,
+# arrival-stream property tests and the latency-ledger sort oracle under the
+# race detector. The Figure T assertion runs in `make figures`.
 test-serve:
-	go test -race -count=1 -run 'ServeMix|Arrivals|FigT|Controller' . ./internal/workload/ ./internal/scenario/ ./internal/experiments/ ./internal/sampling/
+	go test -race -count=1 -run 'ServeMix|ServeLedger|Arrivals|FigT|Controller' . ./internal/workload/ ./internal/scenario/ ./internal/experiments/ ./internal/sampling/
 
 # test-overload is the serving-robustness gauntlet: the preset × protection
 # determinism grid and the robust-off golden gate (Snapshot.Serve must be

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"jessica2/internal/gos"
@@ -639,7 +638,7 @@ func (d *serveDispatcher) currentHedgeDelay() sim.Time {
 }
 
 // reestimateHedge refreshes the hedge delay from the completion-latency
-// quantile every 32 completions (the sort reuses the stats scratch).
+// quantile every 32 completions, read from the incrementally sorted ledger.
 func (d *serveDispatcher) reestimateHedge() {
 	if d.cfg.HedgeQuantile <= 0 {
 		return
@@ -649,15 +648,7 @@ func (d *serveDispatcher) reestimateHedge() {
 		return
 	}
 	d.sinceHedged = 0
-	st := &d.w.state
-	n := len(st.latencies)
-	if cap(st.scratch) < n {
-		st.scratch = make([]sim.Time, n)
-	}
-	s := st.scratch[:n]
-	copy(s, st.latencies)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	d.hedgeDelay = percentile(s, d.cfg.HedgeQuantile)
+	d.hedgeDelay = percentile(d.w.state.sorted(), d.cfg.HedgeQuantile)
 }
 
 // --- breaker transitions -----------------------------------------------------

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"jessica2/internal/gos"
@@ -368,13 +369,15 @@ func (s *ServeStats) String() string {
 		s.Retried, s.Hedged, s.HedgeWins, s.Rerouted, s.BreakerOpens, s.Wasted)
 }
 
-// serveState accumulates completions; recording appends in completion
-// order, percentile queries sort a reusable scratch copy. The robust
-// counters and the censor ledger stay zero on the static path, keeping
-// the off-layer stats byte-identical.
+// serveState accumulates completions; recording appends to the latency
+// ledger, and sorted() folds what was appended since the last query into
+// the ordered prefix, so percentile queries never re-sort the whole
+// ledger. The robust counters and the censor ledger stay zero on the
+// static path, keeping the off-layer stats byte-identical.
 type serveState struct {
-	latencies []sim.Time
-	scratch   []sim.Time
+	latencies []sim.Time // the first nsorted entries are in order
+	nsorted   int
+	scratch   []sim.Time // merge buffer for the unsorted tail
 	maxLat    sim.Time
 
 	slo       sim.Time // within-SLO accounting bound; 0 disables
@@ -402,6 +405,34 @@ func (st *serveState) record(lat sim.Time) {
 	if st.slo > 0 && lat <= st.slo {
 		st.inSLO++
 	}
+}
+
+// sorted returns the ledger in ascending order. The entries recorded since
+// the last call are sorted on their own (usually at most 32 of them) and
+// merged backward, in place, into the sorted prefix through the reused
+// scratch, so a query moves only the prefix entries above the smallest
+// new one.
+func (st *serveState) sorted() []sim.Time {
+	lat, m := st.latencies, st.nsorted
+	st.nsorted = len(lat)
+	tail := lat[m:]
+	slices.Sort(tail)
+	if m == 0 || len(tail) == 0 || lat[m-1] <= tail[0] {
+		return lat
+	}
+	tail = append(st.scratch[:0], tail...)
+	st.scratch = tail
+	i, j := m-1, len(tail)-1
+	for k := len(lat) - 1; j >= 0; k-- {
+		if i >= 0 && lat[i] > tail[j] {
+			lat[k] = lat[i]
+			i--
+		} else {
+			lat[k] = tail[j]
+			j--
+		}
+	}
+	return lat
 }
 
 // censor prices a non-completion (shed, expired, failed-fast) into the
@@ -452,8 +483,9 @@ func censoredPercentile(sorted []sim.Time, censored int, censorLat sim.Time, q f
 }
 
 // ServeStatsInto fills dst (allocating when nil) with the serving view as
-// of virtual time now. The sort scratch is reused across calls, so the
-// boundary snapshot path allocates only on growth.
+// of virtual time now. Percentiles read the incrementally sorted ledger,
+// so the boundary snapshot path sorts only what completed since the last
+// read and allocates only when the merge buffer grows.
 func (w *ServeMix) ServeStatsInto(dst *ServeStats, now sim.Time) *ServeStats {
 	if dst == nil {
 		dst = &ServeStats{}
@@ -494,12 +526,7 @@ func (w *ServeMix) ServeStatsInto(dst *ServeStats, now sim.Time) *ServeStats {
 	if now > 0 && done > 0 {
 		dst.GoodputPerSec = float64(done) / now.Seconds()
 	}
-	if cap(st.scratch) < done {
-		st.scratch = make([]sim.Time, done)
-	}
-	s := st.scratch[:done]
-	copy(s, st.latencies)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := st.sorted()
 	dst.LatencyP50 = censoredPercentile(s, st.censored, st.censorLat, 0.50)
 	dst.LatencyP95 = censoredPercentile(s, st.censored, st.censorLat, 0.95)
 	dst.LatencyP99 = censoredPercentile(s, st.censored, st.censorLat, 0.99)
