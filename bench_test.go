@@ -203,7 +203,7 @@ func BenchmarkAblationMigration(b *testing.B) {
 		cfg := jessica2.DefaultConfig()
 		cfg.Nodes = 2
 		sess := jessica2.NewSession(cfg)
-		eng := jessica2.NewMigrationEngine(sess)
+		eng := sess.MigrationEngine()
 		cls := sess.Kernel().Reg.DefineClass("Rec", 128, 1)
 		cls.SetGap(1, 1)
 		sess.Kernel().SpawnThread(0, "m", func(t *jessica2.Thread) {

@@ -87,6 +87,7 @@ import (
 	"time"
 
 	"jessica2"
+	"jessica2/internal/core"
 	"jessica2/internal/dispatch"
 	"jessica2/internal/experiments"
 	"jessica2/internal/runner"
@@ -182,13 +183,13 @@ func parseArgs(args []string, errOut io.Writer) (*runConfig, error) {
 		recov     = fs.Bool("recover", false, "arm the failure-tolerance layer (heartbeat/lease detection, thread evacuation, reliable profile flushes)")
 		protect   = fs.String("protect", "auto", "serving protection level for open-loop apps: off | shed | full | auto (auto = full when -recover is set, off otherwise)")
 		scenSeed  = fs.Uint64("scenario-seed", 0, "scenario seed (0 = workload seed)")
-		policy    = fs.String("policy", "none", "closed-loop policy: none | nop | rebalance")
+		policy    = fs.String("policy", "none", "closed-loop policy: none | nop | rebalance | warmstart")
 		epochs    = fs.Int("epochs", 8, "closed-loop epoch count (epoch length = baseline exec / epochs)")
 		epoch     = fs.Duration("epoch", 0, "explicit closed-loop epoch length (overrides -epochs; skips the pilot run)")
 		seeds     = fs.Int("seeds", 1, "replicate the run over N consecutive seeds")
 		parallel  = fs.Int("parallel", 0, "worker pool for -seeds replicas (0 = GOMAXPROCS, 1 = sequential)")
 		workers   = fs.String("workers", "", "comma-separated djvmworker addresses; runs are dispatched to the fleet and rendered from the collected outcomes (plain profiling runs only)")
-		benchjson = fs.String("benchjson", "", "write a machine-readable run report (exec times, wall clock, TCM builder variant) to this file")
+		benchjson = fs.String("benchjson", "", "write a machine-readable run report (per-seed exec times, wall clock) to this file")
 		profIn    = fs.String("profile-in", "", "load a stored profile for a warm start (placement applied before epoch 0, TCM seeded; mismatched fingerprints fall back to cold with a warning)")
 		profOut   = fs.String("profile-out", "", "save the end-of-run profile to this file")
 	)
@@ -578,31 +579,45 @@ func (rc *runConfig) renderOut(o *experiments.Out, out io.Writer) {
 		fmt.Fprintf(out, "TCM analyzer CPU:  %v\n", o.TCMTime)
 	}
 	fmt.Fprintln(out)
-	if rc.adaptive && o.Profiler != nil {
+	var trace []core.RateChange
+	if o.Profiler != nil {
+		trace = o.Profiler.RateTrace
+	}
+	rc.renderProfile(out, trace, o.Footprints[0], o.TCM)
+}
+
+// renderProfile prints the profiling sections every run ends with, local
+// or dispatched: the adaptive controller's trace, thread 0's sticky-set
+// footprint, and the final correlation map with the placement plan derived
+// from it (m is nil when tracking was off).
+func (rc *runConfig) renderProfile(out io.Writer, trace []core.RateChange, fp jessica2.Footprint, m *jessica2.TCM) {
+	if rc.adaptive {
 		fmt.Fprintln(out, "adaptive controller trace:")
-		for _, rcg := range o.Profiler.RateTrace {
+		for _, rcg := range trace {
 			fmt.Fprintf(out, "  t=%v  %v -> %v  distance=%.4f converged=%v (resampled %d)\n",
 				rcg.At, rcg.From, rcg.To, rcg.Distance, rcg.Converged, rcg.Resampled)
 		}
 		fmt.Fprintln(out)
 	}
-	if rc.footprint && o.Footprints != nil {
+	if rc.footprint {
 		fmt.Fprintln(out, "sticky-set footprints (thread 0):")
-		fp := o.Footprints[0]
 		for _, c := range fp.Classes() {
 			fmt.Fprintf(out, "  %-10s %8d bytes\n", c, fp[c])
 		}
 		fmt.Fprintln(out)
 	}
-	if rc.showTCM && o.TCM != nil {
-		fmt.Fprintln(out, "thread correlation map:")
-		fmt.Fprintln(out, o.TCM)
+	if m == nil {
+		return
 	}
-	if rc.plan && o.TCM != nil {
+	if rc.showTCM {
+		fmt.Fprintln(out, "thread correlation map:")
+		fmt.Fprintln(out, m)
+	}
+	if rc.plan {
 		cur := jessica2.BlockedPlacement(rc.threads, rc.nodes)
-		next, moves := jessica2.PlanPlacement(o.TCM, cur, rc.nodes)
+		next, moves := jessica2.PlanPlacement(m, cur, rc.nodes)
 		fmt.Fprintf(out, "placement plan: cross-volume %.0f -> %.0f bytes\n",
-			jessica2.CrossVolume(o.TCM, cur), jessica2.CrossVolume(o.TCM, next))
+			jessica2.CrossVolume(m, cur), jessica2.CrossVolume(m, next))
 		for _, mv := range moves {
 			fmt.Fprintf(out, "  %s\n", mv)
 		}
@@ -754,36 +769,11 @@ func (rc *runConfig) runSeed(seed uint64, out io.Writer) (jessica2.Time, error) 
 		}
 		fmt.Fprintln(out)
 	}
-	if rc.adaptive {
-		fmt.Fprintln(out, "adaptive controller trace:")
-		for _, rcg := range prof.RateTrace() {
-			fmt.Fprintf(out, "  t=%v  %v -> %v  distance=%.4f converged=%v (resampled %d)\n",
-				rcg.At, rcg.From, rcg.To, rcg.Distance, rcg.Converged, rcg.Resampled)
-		}
-		fmt.Fprintln(out)
+	var m *jessica2.TCM
+	if rc.rate != 0 && (rc.showTCM || rc.plan) {
+		m = rep.TCM()
 	}
-	if rc.footprint {
-		fmt.Fprintln(out, "sticky-set footprints (thread 0):")
-		fp := prof.Footprint(0)
-		for _, c := range fp.Classes() {
-			fmt.Fprintf(out, "  %-10s %8d bytes\n", c, fp[c])
-		}
-		fmt.Fprintln(out)
-	}
-	if rc.showTCM && rc.rate != 0 {
-		fmt.Fprintln(out, "thread correlation map:")
-		fmt.Fprintln(out, rep.TCM())
-	}
-	if rc.plan && rc.rate != 0 {
-		m := rep.TCM()
-		cur := jessica2.BlockedPlacement(rc.threads, rc.nodes)
-		next, moves := jessica2.PlanPlacement(m, cur, rc.nodes)
-		fmt.Fprintf(out, "placement plan: cross-volume %.0f -> %.0f bytes\n",
-			jessica2.CrossVolume(m, cur), jessica2.CrossVolume(m, next))
-		for _, mv := range moves {
-			fmt.Fprintf(out, "  %s\n", mv)
-		}
-	}
+	rc.renderProfile(out, prof.RateTrace, prof.Footprint(0), m)
 	return rep.ExecTime(), nil
 }
 

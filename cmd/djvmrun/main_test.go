@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
 
 	"jessica2"
+	"jessica2/internal/dispatch"
 )
 
 func parse(t *testing.T, args ...string) (*runConfig, error) {
@@ -234,7 +236,7 @@ func TestExecuteSeedsParallelIdentity(t *testing.T) {
 }
 
 // TestExecuteBenchJSON: -benchjson writes a machine-readable run report
-// with per-seed exec times and the TCM builder variant.
+// with per-seed exec times and the wall clock.
 func TestExecuteBenchJSON(t *testing.T) {
 	path := t.TempDir() + "/run.json"
 	rc, err := parse(t,
@@ -349,5 +351,50 @@ func TestExecuteProfileRoundTrip(t *testing.T) {
 	mismatch := run("-policy", "warmstart", "-profile-in", path, "-seed", "7")
 	if !strings.Contains(mismatch, "warning: profile fingerprint mismatch") {
 		t.Fatalf("mismatched profile produced no warning:\n%s", mismatch)
+	}
+}
+
+// TestDispatchedRenderMatchesLocal runs one invocation locally and through
+// a worker over HTTP: the adaptive-trace, footprint, TCM and plan sections
+// must be byte-identical.
+func TestDispatchedRenderMatchesLocal(t *testing.T) {
+	srv := httptest.NewServer(dispatch.NewWorker(nil).Handler())
+	defer srv.Close()
+	flags := []string{"-app", "sor", "-threads", "4", "-nodes", "2", "-rate", "4",
+		"-adaptive", "-stack", "-footprint", "-plan"}
+	run := func(extra ...string) string {
+		rc, err := parse(t, append(flags, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := rc.execute(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	sections := func(report string) string {
+		i := strings.Index(report, "adaptive controller trace:")
+		if i < 0 {
+			t.Fatalf("no profiling sections in report:\n%s", report)
+		}
+		report = report[i:]
+		if j := strings.Index(report, "dispatch: "); j >= 0 {
+			report = report[:j]
+		}
+		return report
+	}
+	dispatched := run("-workers", srv.URL)
+	if !strings.Contains(dispatched, "dispatch: 1 jobs (1 remote, 0 local)") {
+		t.Fatalf("run did not go to the worker:\n%s", dispatched)
+	}
+	local, remote := sections(run()), sections(dispatched)
+	if local != remote {
+		t.Fatalf("dispatched sections differ from local:\n--- local\n%s\n--- dispatched\n%s", local, remote)
+	}
+	for _, want := range []string{"sticky-set footprints (thread 0):\n  double[]", "thread correlation map:", "placement plan:"} {
+		if !strings.Contains(local, want) {
+			t.Errorf("sections missing %q:\n%s", want, local)
+		}
 	}
 }

@@ -49,7 +49,7 @@ func (w *traversalWorkload) Launch(k *jessica2.Kernel, p jessica2.Params) {
 	recC := k.Reg.DefineClass("Record", 128, 1)
 	mMain := &jessica2.Method{Name: "traversal.run"}
 	mWalk := &jessica2.Method{Name: "traversal.walk"}
-	eng := jessica2.NewMigrationEngine(w.sess)
+	eng := w.sess.MigrationEngine()
 
 	for tid := 0; tid < p.Threads; tid++ {
 		tid := tid

@@ -41,7 +41,7 @@ func main() {
 	fmt.Println(rep)
 
 	fmt.Println("adaptive controller trace (rate ladder):")
-	for _, rc := range prof.RateTrace() {
+	for _, rc := range prof.RateTrace {
 		fmt.Printf("  t=%-10v %5v -> %-5v relative-distance=%.4f converged=%v\n",
 			rc.At, rc.From, rc.To, rc.Distance, rc.Converged)
 	}

@@ -107,7 +107,7 @@ func renderTrace(rep *jessica2.Report, prof *jessica2.Profiler) string {
 	fmt.Fprintf(&sb, "net: %v", rep.NetworkStats())
 	fmt.Fprintf(&sb, "oal=%d gos=%d\n", rep.OALBytes(), rep.GOSBytes())
 	sb.WriteString(rep.TCM().String())
-	fmt.Fprintf(&sb, "stackcpu=%v\n", prof.StackCPU())
+	fmt.Fprintf(&sb, "stackcpu=%v\n", prof.StackCPU)
 	return sb.String()
 }
 

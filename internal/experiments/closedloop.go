@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"jessica2/internal/core"
 	"jessica2/internal/gos"
 	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
-	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
 	"jessica2/internal/session"
 	"jessica2/internal/sim"
@@ -118,33 +116,20 @@ func (p *oncePolicy) Observe(s *session.Snapshot) []session.Action {
 	return acts
 }
 
-// figCLRun executes one cell and returns (exec, applied thread moves).
+// figCLRun executes one cell and returns the finished session and its
+// execution time.
 func figCLRun(w workload.Workload, scenName string, seed uint64, policy session.Policy, epoch sim.Time) (*session.Session, sim.Time) {
-	const nodes, threads = 4, 8
-	kcfg := gos.DefaultConfig()
-	kcfg.Nodes = nodes
-	kcfg.Tracking = gos.TrackingSampled
-	scen, err := scenario.Preset(scenName, nodes, seed)
+	scen, err := scenario.Preset(scenName, cellNodes, seed)
 	if err != nil {
 		panic(err)
 	}
-	s := session.New(session.Config{Kernel: kcfg, Scenario: scen, Epoch: epoch})
-	if err := s.Launch(w, workload.Params{Threads: threads, Seed: seed}); err != nil {
-		panic(err)
-	}
-	if _, err := s.AttachProfiling(core.Config{Rate: sampling.FullRate}); err != nil {
-		panic(err)
-	}
-	if policy != nil {
-		if err := s.SetPolicy(policy); err != nil {
-			panic(err)
-		}
-	}
-	exec, err := s.Run()
-	if err != nil {
-		panic(err)
-	}
-	return s, exec
+	return cell{
+		Config: session.Config{Kernel: cellKernel(gos.TrackingSampled, nil), Scenario: scen, Epoch: epoch},
+		load:   w,
+		params: workload.Params{Threads: cellThreads, Seed: seed},
+		prof:   &fullRate,
+		policy: policy,
+	}.run()
 }
 
 // FigCL runs the closed-loop sweep at the given dataset scale. The sweep

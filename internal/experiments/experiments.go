@@ -14,6 +14,7 @@ import (
 	"jessica2/internal/runner"
 	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
+	"jessica2/internal/session"
 	"jessica2/internal/sim"
 	"jessica2/internal/sticky"
 	"jessica2/internal/tcm"
@@ -175,9 +176,7 @@ func (o *Out) ExecMs() float64 { return o.Exec.Milliseconds() }
 func (o *Out) OALKB() float64 { return float64(o.Net.CatBytes(network.CatOAL)) / 1024 }
 
 // GOSKB is the protocol traffic (data + control + headers) in KB.
-func (o *Out) GOSKB() float64 {
-	return float64(o.Net.CatBytes(network.CatGOSData)+o.Net.CatBytes(network.CatControl)+o.Net.HeaderBytesTotal) / 1024
-}
+func (o *Out) GOSKB() float64 { return float64(o.Net.GOSBytes()) / 1024 }
 
 // Run executes one spec deterministically.
 func Run(spec Spec) *Out {
@@ -195,36 +194,26 @@ func Run(spec Spec) *Out {
 	kcfg.Tracking = spec.Tracking
 	kcfg.TransferOALs = spec.TransferOALs
 	kcfg.DistributedTCM = spec.DistributedTCM
-	k := gos.NewKernel(kcfg)
-
-	params := workload.Params{Threads: spec.Threads, Seed: spec.Seed}
-	if spec.Scenario != nil {
-		params.Phase = new(workload.Phase)
-		spec.Scenario.Apply(k, params.Phase)
+	c := cell{
+		Config: session.Config{Kernel: kcfg, Scenario: spec.Scenario},
+		load:   NewWorkload(spec.App, spec.Small, spec.Scale),
+		params: workload.Params{Threads: spec.Threads, Seed: spec.Seed},
+		prof: &core.Config{
+			Rate:      spec.Rate,
+			Stack:     spec.Stack,
+			Footprint: spec.Footprint,
+			Adaptive:  spec.Adaptive,
+		},
 	}
-
-	w := NewWorkload(spec.App, spec.Small, spec.Scale)
-	w.Launch(k, params)
-
 	var tracker *pagesim.Tracker
 	if spec.PageTracker {
 		tracker = pagesim.NewTracker(spec.Threads)
-		k.AddObserver(tracker)
+		c.observer = tracker
 	}
+	s, exec := c.run()
 
-	pcfg := core.Config{
-		Rate:      spec.Rate,
-		Stack:     spec.Stack,
-		Footprint: spec.Footprint,
-		Adaptive:  spec.Adaptive,
-	}
-	prof := core.Attach(k, pcfg)
-
-	out := &Out{Spec: spec, Profiler: prof}
-	out.Exec = k.Run()
-	k.FlushAllOAL()
-	out.Stats = k.Stats()
-	out.Net = k.Net.Stats()
+	k, prof := s.Kernel(), s.Profiler()
+	out := &Out{Spec: spec, Exec: exec, Stats: k.Stats(), Net: k.Net.Stats(), Profiler: prof}
 	if spec.Tracking != gos.TrackingOff {
 		out.TCM, out.TCMCost = k.TCM()
 		out.TCMTime = k.Master().ComputeTime()
@@ -239,6 +228,59 @@ func Run(spec Spec) *Out {
 		}
 	}
 	return out
+}
+
+// cellNodes and cellThreads are the cluster shape of every closed-loop
+// figure cell (Figures CL, R, T, W and G).
+const cellNodes, cellThreads = 4, 8
+
+// cellKernel is the kernel config of a closed-loop figure cell.
+func cellKernel(tracking gos.TrackingMode, fc *gos.FailureConfig) gos.Config {
+	kcfg := gos.DefaultConfig()
+	kcfg.Nodes, kcfg.Tracking, kcfg.Failure = cellNodes, tracking, fc
+	return kcfg
+}
+
+// fullRate is the profiling the closed-loop figure cells attach.
+var fullRate = core.Config{Rate: sampling.FullRate}
+
+// cell is one simulated run: the session's config, the workload it
+// launches, and what rides along — an access observer registered after the
+// launch, the profiling attached after that, and the closed-loop policy
+// (each optional).
+type cell struct {
+	session.Config
+	load     workload.Workload
+	params   workload.Params
+	observer gos.AccessObserver
+	prof     *core.Config
+	policy   session.Policy
+}
+
+// run is the one launch / attach / set-policy / run sequence behind every
+// table spec and figure cell; it returns the finished session and the
+// workload execution time. A cell that fails to configure or run is a
+// broken figure definition, so errors panic.
+func (c cell) run() (*session.Session, sim.Time) {
+	s := session.New(c.Config)
+	err := s.Launch(c.load, c.params)
+	if err == nil && c.observer != nil {
+		s.Kernel().AddObserver(c.observer)
+	}
+	if err == nil && c.prof != nil {
+		_, err = s.AttachProfiling(*c.prof)
+	}
+	if err == nil {
+		err = s.SetPolicy(c.policy)
+	}
+	var rep *session.Report
+	if err == nil {
+		rep, err = s.Run()
+	}
+	if err != nil {
+		panic(err)
+	}
+	return s, rep.ExecTime()
 }
 
 // Dispatcher runs a batch of specs somewhere other than the local worker

@@ -151,15 +151,10 @@ type FigGResult struct {
 // No placement policy runs — the figure isolates the request-lifecycle
 // layer, not the optimizer.
 func figGRun(sched, mode string, sc Scale, seed uint64) FigGRow {
-	const nodes, threads = 4, 8
-	kcfg := gos.DefaultConfig()
-	kcfg.Nodes = nodes
-	kcfg.Tracking = gos.TrackingOff
+	var fc *gos.FailureConfig
 	if mode == "full" {
-		kcfg.Failure = figGFailureConfig()
+		fc = figGFailureConfig()
 	}
-	scen := figGScenario(sched, seed, sc)
-	s := session.New(session.Config{Kernel: kcfg, Scenario: scen, Epoch: figGHorizon / 16})
 	w := workload.NewServeMix()
 	w.RotateEvery = figGHorizon / 4
 	w.Robust = figGRobust(mode)
@@ -168,13 +163,11 @@ func figGRun(sched, mode string, sc Scale, seed uint64) FigGRow {
 		// goodput-within-SLO is comparable across all three levels.
 		w.SLO = figGDeadline
 	}
-	if err := s.Launch(w, workload.Params{Threads: threads, Seed: seed}); err != nil {
-		panic(err)
-	}
-	exec, err := s.Run()
-	if err != nil {
-		panic(err)
-	}
+	s, exec := cell{
+		Config: session.Config{Kernel: cellKernel(gos.TrackingOff, fc), Scenario: figGScenario(sched, seed, sc), Epoch: figGHorizon / 16},
+		load:   w,
+		params: workload.Params{Threads: cellThreads, Seed: seed},
+	}.run()
 	row := FigGRow{Schedule: sched, Mode: mode}
 	w.ServeStatsInto(&row.ServeStats, exec)
 	fs := s.Kernel().FailureStats()

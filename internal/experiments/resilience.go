@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"jessica2/internal/core"
 	"jessica2/internal/gos"
 	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
-	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
 	"jessica2/internal/session"
 	"jessica2/internal/sim"
@@ -178,28 +176,13 @@ type FigRResult struct {
 // figRRun executes one cell: KVMix on 4 nodes / 8 threads with profiling
 // attached, under an optional crash scenario, failure config and policy.
 func figRRun(sc Scale, seed uint64, scen *scenario.Scenario, fc *gos.FailureConfig, policy session.Policy, epoch sim.Time) (*session.Session, sim.Time) {
-	const nodes, threads = 4, 8
-	kcfg := gos.DefaultConfig()
-	kcfg.Nodes = nodes
-	kcfg.Tracking = gos.TrackingSampled
-	kcfg.Failure = fc
-	s := session.New(session.Config{Kernel: kcfg, Scenario: scen, Epoch: epoch})
-	if err := s.Launch(figCLKVMix(sc), workload.Params{Threads: threads, Seed: seed}); err != nil {
-		panic(err)
-	}
-	if _, err := s.AttachProfiling(core.Config{Rate: sampling.FullRate}); err != nil {
-		panic(err)
-	}
-	if policy != nil {
-		if err := s.SetPolicy(policy); err != nil {
-			panic(err)
-		}
-	}
-	exec, err := s.Run()
-	if err != nil {
-		panic(err)
-	}
-	return s, exec
+	return cell{
+		Config: session.Config{Kernel: cellKernel(gos.TrackingSampled, fc), Scenario: scen, Epoch: epoch},
+		load:   figCLKVMix(sc),
+		params: workload.Params{Threads: cellThreads, Seed: seed},
+		prof:   &fullRate,
+		policy: policy,
+	}.run()
 }
 
 // FigR runs the resilience sweep at the given dataset scale: one crash-free

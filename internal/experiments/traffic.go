@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"jessica2/internal/core"
 	"jessica2/internal/gos"
 	"jessica2/internal/metrics"
 	"jessica2/internal/runner"
-	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
 	"jessica2/internal/session"
 	"jessica2/internal/sim"
@@ -119,32 +117,19 @@ type FigTResult struct {
 // schedule generated by the scenario layer from (spec, seed), profiling
 // attached, under the given policy.
 func figTRun(sched string, sc Scale, seed uint64, policy session.Policy) (*session.Session, *workload.ServeStats) {
-	const nodes, threads = 4, 8
-	kcfg := gos.DefaultConfig()
-	kcfg.Nodes = nodes
-	kcfg.Tracking = gos.TrackingSampled
 	scen := &scenario.Scenario{
 		Name:     "figT/" + sched,
 		Seed:     seed,
 		Arrivals: figTArrivals(sched, sc),
 	}
-	s := session.New(session.Config{Kernel: kcfg, Scenario: scen, Epoch: figTHorizon / FigTEpochs})
 	w := figTServeMix()
-	if err := s.Launch(w, workload.Params{Threads: threads, Seed: seed}); err != nil {
-		panic(err)
-	}
-	if _, err := s.AttachProfiling(core.Config{Rate: sampling.FullRate}); err != nil {
-		panic(err)
-	}
-	if policy != nil {
-		if err := s.SetPolicy(policy); err != nil {
-			panic(err)
-		}
-	}
-	exec, err := s.Run()
-	if err != nil {
-		panic(err)
-	}
+	s, exec := cell{
+		Config: session.Config{Kernel: cellKernel(gos.TrackingSampled, nil), Scenario: scen, Epoch: figTHorizon / FigTEpochs},
+		load:   w,
+		params: workload.Params{Threads: cellThreads, Seed: seed},
+		prof:   &fullRate,
+		policy: policy,
+	}.run()
 	return s, w.ServeStatsInto(nil, exec)
 }
 

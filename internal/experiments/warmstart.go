@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"jessica2/internal/core"
 	"jessica2/internal/gos"
 	"jessica2/internal/metrics"
 	"jessica2/internal/profile"
 	"jessica2/internal/runner"
-	"jessica2/internal/sampling"
 	"jessica2/internal/scenario"
 	"jessica2/internal/session"
 	"jessica2/internal/sim"
@@ -101,11 +99,6 @@ type FigWResult struct {
 // the Figure T epoch grid. The profile IO config carries the Save arming
 // (capture cells) or the loaded profile (warm cells).
 func figWRun(app string, sc Scale, seed uint64, pio session.ProfileIO, policy session.Policy) (*session.Session, sim.Time, *workload.ServeStats) {
-	const nodes, threads = 4, 8
-	kcfg := gos.DefaultConfig()
-	kcfg.Nodes = nodes
-	kcfg.Tracking = gos.TrackingSampled
-
 	var (
 		w     workload.Workload
 		scen  *scenario.Scenario
@@ -116,7 +109,7 @@ func figWRun(app string, sc Scale, seed uint64, pio session.ProfileIO, policy se
 	case "KVMix/phased":
 		w = figCLKVMix(sc)
 		var err error
-		scen, err = scenario.Preset("phased", nodes, seed)
+		scen, err = scenario.Preset("phased", cellNodes, seed)
 		if err != nil {
 			panic(err)
 		}
@@ -134,22 +127,13 @@ func figWRun(app string, sc Scale, seed uint64, pio session.ProfileIO, policy se
 		panic("figW: unknown app " + app)
 	}
 
-	s := session.New(session.Config{Kernel: kcfg, Scenario: scen, Epoch: epoch, Profile: pio})
-	if err := s.Launch(w, workload.Params{Threads: threads, Seed: seed}); err != nil {
-		panic(err)
-	}
-	if _, err := s.AttachProfiling(core.Config{Rate: sampling.FullRate}); err != nil {
-		panic(err)
-	}
-	if policy != nil {
-		if err := s.SetPolicy(policy); err != nil {
-			panic(err)
-		}
-	}
-	exec, err := s.Run()
-	if err != nil {
-		panic(err)
-	}
+	s, exec := cell{
+		Config: session.Config{Kernel: cellKernel(gos.TrackingSampled, nil), Scenario: scen, Epoch: epoch, Profile: pio},
+		load:   w,
+		params: workload.Params{Threads: cellThreads, Seed: seed},
+		prof:   &fullRate,
+		policy: policy,
+	}.run()
 	var stats *workload.ServeStats
 	if serve != nil {
 		stats = serve.ServeStatsInto(nil, exec)

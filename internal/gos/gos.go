@@ -123,9 +123,6 @@ type Config struct {
 	// OAL entries exceed this count; OALs also piggyback on barrier
 	// arrivals (whose manager lives on the master).
 	OALFlushEntries int
-	// CPUSliceFlush is the microbatching threshold for charging accrued
-	// fast-path CPU time to the node CPU resource.
-	CPUSliceFlush sim.Time
 	// Failure, when non-nil, enables the failure-tolerance layer (see
 	// failure.go): heartbeat/lease failure detection, safe-point
 	// evacuation of dead nodes' threads, and sequence-numbered ack/retry
@@ -143,7 +140,45 @@ func DefaultConfig() Config {
 		Tracking:        TrackingOff,
 		TransferOALs:    true,
 		OALFlushEntries: 4096,
-		CPUSliceFlush:   250 * sim.Microsecond,
+	}
+}
+
+// cpuSliceFlush is the microbatching threshold for charging accrued
+// fast-path CPU time to the node CPU resource.
+const cpuSliceFlush = 250 * sim.Microsecond
+
+// WithDefaults fills every zero numeric field of c — the node count, the
+// OAL flush threshold, and each interconnect and cost-model field — from
+// DefaultConfig, field by field, so a partial override (say, one cost)
+// composes with the calibrated defaults. Modes, flags and the failure
+// layer are taken as given.
+func (c Config) WithDefaults() Config {
+	d := DefaultConfig()
+	orDefault(&c.Nodes, d.Nodes)
+	orDefault(&c.OALFlushEntries, d.OALFlushEntries)
+	orDefault(&c.Net.Latency, d.Net.Latency)
+	orDefault(&c.Net.BandwidthBytesPerSec, d.Net.BandwidthBytesPerSec)
+	orDefault(&c.Net.HeaderBytes, d.Net.HeaderBytes)
+	cm, dc := &c.Costs, d.Costs
+	orDefault(&cm.CheckCost, dc.CheckCost)
+	orDefault(&cm.LogCost, dc.LogCost)
+	orDefault(&cm.ResetCost, dc.ResetCost)
+	orDefault(&cm.FaultCPUCost, dc.FaultCPUCost)
+	orDefault(&cm.HomeServiceCost, dc.HomeServiceCost)
+	orDefault(&cm.TwinCostPerByte, dc.TwinCostPerByte)
+	orDefault(&cm.DiffCostPerByte, dc.DiffCostPerByte)
+	orDefault(&cm.ResampleCostPerObject, dc.ResampleCostPerObject)
+	orDefault(&cm.OALPackCostPerEntry, dc.OALPackCostPerEntry)
+	orDefault(&cm.TCMReorgCostPerEntry, dc.TCMReorgCostPerEntry)
+	orDefault(&cm.TCMPairCost, dc.TCMPairCost)
+	orDefault(&cm.LockServiceCost, dc.LockServiceCost)
+	orDefault(&cm.BarrierServiceCost, dc.BarrierServiceCost)
+	return c
+}
+
+func orDefault[T ~int | ~int64](v *T, def T) {
+	if *v <= 0 {
+		*v = def
 	}
 }
 
@@ -240,16 +275,9 @@ type KernelStats struct {
 }
 
 // NewKernel builds a kernel: engine, network, nodes and master collector.
+// Zero numeric fields of cfg take their defaults (see WithDefaults).
 func NewKernel(cfg Config) *Kernel {
-	if cfg.Nodes <= 0 {
-		panic("gos: need at least one node")
-	}
-	if cfg.CPUSliceFlush <= 0 {
-		cfg.CPUSliceFlush = 20 * sim.Microsecond
-	}
-	if cfg.OALFlushEntries <= 0 {
-		cfg.OALFlushEntries = 4096
-	}
+	cfg = cfg.WithDefaults()
 	eng := sim.NewEngine()
 	k := &Kernel{
 		Eng:      eng,

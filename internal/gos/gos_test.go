@@ -734,3 +734,18 @@ func TestCachedObjectsOfClass(t *testing.T) {
 		t.Fatalf("copies = %d", n.NumCopies())
 	}
 }
+
+// TestWithDefaultsFillsFieldByField checks that every zero numeric field of
+// a kernel config takes its DefaultConfig value while the fields a caller
+// set are kept.
+func TestWithDefaultsFillsFieldByField(t *testing.T) {
+	partial := Config{TransferOALs: true}
+	partial.Net.Latency = sim.Millisecond
+	partial.Costs.LogCost = sim.Microsecond
+	want := DefaultConfig()
+	want.Net.Latency = sim.Millisecond
+	want.Costs.LogCost = sim.Microsecond
+	if got := NewKernel(partial).Cfg; got != want {
+		t.Fatalf("kernel config:\n got %+v\nwant %+v", got, want)
+	}
+}

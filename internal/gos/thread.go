@@ -150,7 +150,7 @@ func (t *Thread) AccessedThisInterval(o *heap.Object) (reads, writes int) {
 // slices to keep the event count manageable.
 func (t *Thread) Charge(d sim.Time) {
 	t.pendingCPU += d
-	if t.pendingCPU >= t.k.Cfg.CPUSliceFlush {
+	if t.pendingCPU >= cpuSliceFlush {
 		t.flushCPU()
 	}
 }

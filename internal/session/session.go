@@ -43,7 +43,8 @@ var (
 
 // Config assembles a session.
 type Config struct {
-	// Kernel is the fully resolved DJVM configuration.
+	// Kernel is the DJVM configuration; its zero numeric fields take their
+	// defaults field by field (gos.Config.WithDefaults).
 	Kernel gos.Config
 	// Scenario, when non-nil, perturbs the run with the fault-injection
 	// scenario engine.
@@ -144,20 +145,7 @@ type AppliedAction struct {
 // not validate against the cluster) is recorded as a sticky error returned
 // by the first Launch/Step/Run call, keeping construction chainable.
 func New(cfg Config) *Session {
-	// Default only the missing pieces of the kernel config; a caller's
-	// partial config (say, tracking mode without a node count) must not be
-	// silently discarded wholesale.
-	kcfg := cfg.Kernel
-	def := gos.DefaultConfig()
-	if kcfg.Nodes <= 0 {
-		kcfg.Nodes = def.Nodes
-	}
-	if kcfg.Net == (network.Config{}) {
-		kcfg.Net = def.Net
-	}
-	if kcfg.Costs == (gos.CostModel{}) {
-		kcfg.Costs = def.Costs
-	}
+	kcfg := cfg.Kernel.WithDefaults()
 	s := &Session{cfg: cfg, phase: new(workload.Phase)}
 	if cfg.Scenario != nil {
 		if err := cfg.Scenario.Validate(kcfg.Nodes); err != nil {
@@ -181,15 +169,6 @@ func (s *Session) Phase() *workload.Phase { return s.phase }
 
 // Err returns the sticky configuration error, if any.
 func (s *Session) Err() error { return s.err }
-
-// Workloads returns the names of the launched workloads in launch order.
-func (s *Session) Workloads() []string {
-	names := make([]string, len(s.loads))
-	for i, w := range s.loads {
-		names[i] = w.Name()
-	}
-	return names
-}
 
 // Launch registers a workload's classes and spawns its threads. When a
 // scenario drives the session and the caller installed no phase register of
@@ -336,7 +315,8 @@ func (s *Session) Now() sim.Time {
 	return s.k.Eng.Now()
 }
 
-// ExecTime is the workload execution time; valid once Done.
+// ExecTime is the workload execution time; valid once Done. Step-driven
+// callers read it here, Run's callers from the Report.
 func (s *Session) ExecTime() sim.Time { return s.execTime }
 
 func (s *Session) checkStep() error {
@@ -407,20 +387,20 @@ func (s *Session) RunUntil(t sim.Time) (bool, error) {
 	return false, nil
 }
 
-// Run executes the session to completion and returns the workload execution
-// time. With a policy installed it steps in Config.Epoch increments (an
-// installed policy with no configured epoch is an error); without one it
-// runs straight through. Running a finished session returns ErrFinished.
-func (s *Session) Run() (sim.Time, error) {
+// Run executes the session to completion and returns its report. With a
+// policy installed it steps in Config.Epoch increments (an installed policy
+// with no configured epoch is an error); without one it runs straight
+// through. Running a finished session returns ErrFinished.
+func (s *Session) Run() (*Report, error) {
 	if err := s.checkStep(); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if s.done {
-		return s.execTime, ErrFinished
+		return nil, ErrFinished
 	}
 	s.started = true
 	if s.policy != nil && s.cfg.Epoch <= 0 {
-		return 0, errors.New("jessica2: policy installed but Config.Epoch is zero; use Step or set an epoch")
+		return nil, errors.New("jessica2: policy installed but Config.Epoch is zero; use Step or set an epoch")
 	}
 	for !s.done {
 		if s.policy == nil {
@@ -429,10 +409,22 @@ func (s *Session) Run() (sim.Time, error) {
 			break
 		}
 		if _, err := s.Step(s.cfg.Epoch); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
-	return s.execTime, nil
+	return &Report{s: s}, nil
+}
+
+// Report returns the completed run's report: ErrNotFinished while the run
+// is still in progress, or the sticky configuration error.
+func (s *Session) Report() (*Report, error) {
+	if err := s.checkStep(); err != nil {
+		return nil, err
+	}
+	if !s.done {
+		return nil, ErrNotFinished
+	}
+	return &Report{s: s}, nil
 }
 
 // finish records completion and drains the remaining OAL buffers, exactly
@@ -592,18 +584,6 @@ func (s *Session) hotObjects(consume bool) []HotObject {
 	return hot
 }
 
-// Finished returns nil once the run has completed: ErrNotFinished while
-// still in progress, or the sticky configuration error.
-func (s *Session) Finished() error {
-	if err := s.checkStep(); err != nil {
-		return err
-	}
-	if !s.done {
-		return ErrNotFinished
-	}
-	return nil
-}
-
 // NetworkStats aliases network.Stats for snapshot consumers.
 type NetworkStats = network.Stats
 
@@ -614,13 +594,6 @@ func (s *Session) MigrationEngine() *migration.Engine {
 		s.mig = migration.NewEngine(s.k, migration.DefaultConfig())
 	}
 	return s.mig
-}
-
-// TCMNow builds the correlation map from everything the master has ingested,
-// charging analyzer CPU (the classic Report.TCM path).
-func (s *Session) TCMNow() *tcm.Map {
-	m, _ := s.k.TCM()
-	return m
 }
 
 // CapturedProfile assembles the end-of-run artifact: the final correlation

@@ -54,12 +54,13 @@
 // Without a policy, Run executes the whole workload as one epoch: the
 // classic post-hoc profiling run, whose Report carries the final TCM and
 // counters.
+//
+// Session, Report and Profiler are aliases of the internal session and
+// profiler types, not wrappers: NewSession maps the flat Config onto the
+// session's, and every method documented there is the library's API.
 package jessica2
 
 import (
-	"fmt"
-	"strings"
-
 	"jessica2/internal/balancer"
 	"jessica2/internal/core"
 	"jessica2/internal/gos"
@@ -365,84 +366,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// kernelConfig resolves the config over defaults. Network and Costs merge
-// field by field: a partially populated override adjusts only the fields it
-// sets, zero fields keep their calibrated defaults.
-func (cfg Config) kernelConfig() gos.Config {
-	kcfg := gos.DefaultConfig()
-	if cfg.Nodes > 0 {
-		kcfg.Nodes = cfg.Nodes
-	}
-	kcfg.Tracking = cfg.Tracking
-	kcfg.TransferOALs = cfg.TransferOALs
-	kcfg.DistributedTCM = cfg.DistributedTCM
-	if cfg.OALFlushEntries > 0 {
-		kcfg.OALFlushEntries = cfg.OALFlushEntries
-	}
-	kcfg.Net = mergeNetwork(kcfg.Net, cfg.Network)
-	kcfg.Costs = mergeCosts(kcfg.Costs, cfg.Costs)
-	kcfg.Failure = cfg.Failure
-	return kcfg
-}
-
-// mergeNetwork overlays non-zero override fields on the base model.
-func mergeNetwork(base, over network.Config) network.Config {
-	if over.Latency > 0 {
-		base.Latency = over.Latency
-	}
-	if over.BandwidthBytesPerSec > 0 {
-		base.BandwidthBytesPerSec = over.BandwidthBytesPerSec
-	}
-	if over.HeaderBytes > 0 {
-		base.HeaderBytes = over.HeaderBytes
-	}
-	return base
-}
-
-// mergeCosts overlays non-zero override fields on the base cost model.
-func mergeCosts(base, over gos.CostModel) gos.CostModel {
-	if over.CheckCost > 0 {
-		base.CheckCost = over.CheckCost
-	}
-	if over.LogCost > 0 {
-		base.LogCost = over.LogCost
-	}
-	if over.ResetCost > 0 {
-		base.ResetCost = over.ResetCost
-	}
-	if over.FaultCPUCost > 0 {
-		base.FaultCPUCost = over.FaultCPUCost
-	}
-	if over.HomeServiceCost > 0 {
-		base.HomeServiceCost = over.HomeServiceCost
-	}
-	if over.TwinCostPerByte > 0 {
-		base.TwinCostPerByte = over.TwinCostPerByte
-	}
-	if over.DiffCostPerByte > 0 {
-		base.DiffCostPerByte = over.DiffCostPerByte
-	}
-	if over.ResampleCostPerObject > 0 {
-		base.ResampleCostPerObject = over.ResampleCostPerObject
-	}
-	if over.OALPackCostPerEntry > 0 {
-		base.OALPackCostPerEntry = over.OALPackCostPerEntry
-	}
-	if over.TCMReorgCostPerEntry > 0 {
-		base.TCMReorgCostPerEntry = over.TCMReorgCostPerEntry
-	}
-	if over.TCMPairCost > 0 {
-		base.TCMPairCost = over.TCMPairCost
-	}
-	if over.LockServiceCost > 0 {
-		base.LockServiceCost = over.LockServiceCost
-	}
-	if over.BarrierServiceCost > 0 {
-		base.BarrierServiceCost = over.BarrierServiceCost
-	}
-	return base
-}
-
 // Closed-loop vocabulary: policies observe epoch snapshots and return
 // actions the session applies mid-run (see package internal/session).
 type (
@@ -545,194 +468,38 @@ var (
 )
 
 // Session is an epoch-driven closed-loop run of the distributed JVM, and
-// the library's one run API. Configuration errors surface on the first
-// call that uses them.
-type Session struct {
-	s *session.Session
-}
+// the library's one run API: Launch, AttachProfiling and SetPolicy, then
+// Step, RunUntil or Run. Configuration errors surface on the first call
+// that uses them.
+type Session = session.Session
 
-// NewSession builds a session from the config. An invalid configuration is
+// Report gives access to a completed run's results.
+type Report = session.Report
+
+// Profiler is the attached profiling subsystem (Session.AttachProfiling):
+// mined invariants, footprints and sticky-set resolution per thread, the
+// adaptive controller's RateTrace and the StackCPU charged to sampling.
+type Profiler = core.Profiler
+
+// NewSession builds a session from the config; zero numeric fields keep
+// their calibrated defaults, field by field. An invalid configuration is
 // recorded and returned by the first Launch/Step/Run call.
 func NewSession(cfg Config) *Session {
-	return &Session{s: session.New(session.Config{
-		Kernel:   cfg.kernelConfig(),
+	return session.New(session.Config{
+		Kernel: gos.Config{
+			Nodes:           cfg.Nodes,
+			Net:             cfg.Network,
+			Costs:           cfg.Costs,
+			Tracking:        cfg.Tracking,
+			TransferOALs:    cfg.TransferOALs,
+			DistributedTCM:  cfg.DistributedTCM,
+			OALFlushEntries: cfg.OALFlushEntries,
+			Failure:         cfg.Failure,
+		},
 		Scenario: cfg.Scenario,
 		Epoch:    cfg.Epoch,
 		Profile:  cfg.Profile,
-	})}
-}
-
-// Err returns the sticky configuration error, if any — an invalid scenario
-// spec surfaces here (and from the first Launch/Step/Run) rather than
-// silently misbehaving mid-run.
-func (s *Session) Err() error { return s.s.Err() }
-
-// Kernel exposes the underlying DJVM (advanced use: allocation, custom
-// threads, migration). Nil until construction succeeded.
-func (s *Session) Kernel() *Kernel { return s.s.Kernel() }
-
-// Phase exposes the workload phase register the scenario engine drives.
-func (s *Session) Phase() *Phase { return s.s.Phase() }
-
-// Launch registers a workload's classes and spawns its threads. When a
-// scenario drives the session and the caller installed no phase register
-// of its own, the session's register rides along so phase-aware workloads
-// follow the scenario's phase shifts.
-func (s *Session) Launch(w Workload, p Params) error { return s.s.Launch(w, p) }
-
-// AttachProfiling wires the profiling subsystems. Call after Launch and
-// before the first step.
-func (s *Session) AttachProfiling(cfg ProfileConfig) (*Profiler, error) {
-	p, err := s.s.AttachProfiling(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Profiler{p: p}, nil
-}
-
-// SetPolicy installs the closed-loop policy consulted at every epoch
-// boundary; nil clears it. Must precede the first step.
-func (s *Session) SetPolicy(p Policy) error { return s.s.SetPolicy(p) }
-
-// Step advances the run by one epoch and processes the boundary (snapshot,
-// policy Observe, actions). It reports completion; stepping a finished
-// session is a no-op returning true.
-func (s *Session) Step(epoch Time) (bool, error) { return s.s.Step(epoch) }
-
-// RunUntil advances the run to absolute virtual time t, processing epoch
-// boundaries every Config.Epoch when a policy is installed.
-func (s *Session) RunUntil(t Time) (bool, error) { return s.s.RunUntil(t) }
-
-// Run executes the session to completion — stepping in Config.Epoch
-// increments when a policy is installed — and returns the report.
-func (s *Session) Run() (*Report, error) {
-	if _, err := s.s.Run(); err != nil {
-		return nil, err
-	}
-	return &Report{s: s.s}, nil
-}
-
-// Snapshot captures the live profiling state at the current pause point
-// without charging simulated CPU: observing a paused run does not change it.
-func (s *Session) Snapshot() *Snapshot { return s.s.Snapshot() }
-
-// Done reports whether the run has completed.
-func (s *Session) Done() bool { return s.s.Done() }
-
-// Now returns the current virtual time.
-func (s *Session) Now() Time { return s.s.Now() }
-
-// Epochs reports how many epoch boundaries have been processed.
-func (s *Session) Epochs() int { return s.s.Epochs() }
-
-// Actions returns the log of executed policy decisions.
-func (s *Session) Actions() []AppliedAction { return s.s.Actions() }
-
-// MigrationHistory returns the completed thread migrations in order.
-func (s *Session) MigrationHistory() []MigrationOutcome {
-	return append([]MigrationOutcome(nil), s.s.MigrationEngine().History...)
-}
-
-// Fingerprint returns the run's profile fingerprint (valid after the first
-// Launch); profiles captured from this run are stamped with it.
-func (s *Session) Fingerprint() ProfileFingerprint { return s.s.Fingerprint() }
-
-// ProfileWarning reports why a configured Config.Profile.Load was rejected
-// ("" when none was configured, or when it was accepted). A rejected load
-// degrades to a cold start; it is never the sticky session error.
-func (s *Session) ProfileWarning() string { return s.s.ProfileWarning() }
-
-// CapturedProfile assembles the end-of-run profile artifact. It requires a
-// completed session with Config.Profile.Save armed; capture only reads
-// state, so a Save-armed run is byte-identical to an unarmed one.
-func (s *Session) CapturedProfile() (*StoredProfile, error) { return s.s.CapturedProfile() }
-
-// Report returns the completed run's report, or ErrNotFinished while the
-// run is still in progress.
-func (s *Session) Report() (*Report, error) {
-	if err := s.s.Finished(); err != nil {
-		return nil, err
-	}
-	return &Report{s: s.s}, nil
-}
-
-// Profiler wraps the attached profiling subsystem.
-type Profiler struct {
-	p *core.Profiler
-}
-
-// Invariants returns the mined stack-invariant references for a thread.
-func (p *Profiler) Invariants(tid int) []InvariantRef { return p.p.Invariants(tid) }
-
-// Footprint returns a thread's sticky-set footprint estimate.
-func (p *Profiler) Footprint(tid int) Footprint { return p.p.Footprint(tid) }
-
-// Resolve computes a thread's sticky set for prefetching.
-func (p *Profiler) Resolve(tid int) *Resolution { return p.p.Resolve(tid) }
-
-// RateTrace returns the adaptive controller's decision log.
-func (p *Profiler) RateTrace() []core.RateChange { return p.p.RateTrace }
-
-// StackCPU returns total virtual CPU charged to stack sampling.
-func (p *Profiler) StackCPU() Time { return p.p.StackCPU }
-
-// Core exposes the underlying core profiler for advanced use.
-func (p *Profiler) Core() *core.Profiler { return p.p }
-
-// Report gives access to run results.
-type Report struct {
-	s *session.Session
-}
-
-// ExecTime is the workload execution time (paper tables' metric).
-func (r *Report) ExecTime() Time { return r.s.ExecTime() }
-
-// TCM builds the thread correlation map from all collected OALs.
-func (r *Report) TCM() *TCM { return r.s.TCMNow() }
-
-// KernelStats returns protocol/profiling counters.
-func (r *Report) KernelStats() gos.KernelStats { return r.s.Kernel().Stats() }
-
-// NetworkStats returns per-category traffic stats.
-func (r *Report) NetworkStats() network.Stats { return r.s.Kernel().Net.Stats() }
-
-// OALBytes is profiling traffic volume.
-func (r *Report) OALBytes() int64 {
-	st := r.s.Kernel().Net.Stats()
-	return st.CatBytes(network.CatOAL)
-}
-
-// GOSBytes is protocol traffic volume (data + control + headers).
-func (r *Report) GOSBytes() int64 {
-	st := r.s.Kernel().Net.Stats()
-	return st.CatBytes(network.CatGOSData) + st.CatBytes(network.CatControl) + st.HeaderBytesTotal
-}
-
-// TCMComputeTime is the master analyzer's CPU (dedicated machine).
-func (r *Report) TCMComputeTime() Time { return r.s.Kernel().Master().ComputeTime() }
-
-// HomeAffinity exports the thread×node shared-volume matrix (the "home
-// effect" input for home-aware placement planning).
-func (r *Report) HomeAffinity() [][]float64 {
-	k := r.s.Kernel()
-	return k.Master().HomeAffinity(k.NumThreads(), k.NumNodes())
-}
-
-// String renders a human-readable summary.
-func (r *Report) String() string {
-	var sb strings.Builder
-	st := r.KernelStats()
-	names := r.s.Workloads()
-	fmt.Fprintf(&sb, "workloads:         %s\n", strings.Join(names, ", "))
-	fmt.Fprintf(&sb, "execution time:    %v\n", r.ExecTime())
-	fmt.Fprintf(&sb, "intervals:         %d\n", st.Intervals)
-	fmt.Fprintf(&sb, "remote faults:     %d (%d KB)\n", st.Faults, st.FaultBytes/1024)
-	fmt.Fprintf(&sb, "correlation logs:  %d\n", st.CorrelationLogs)
-	fmt.Fprintf(&sb, "barriers/locks:    %d / %d\n", st.Barriers, st.LockAcquires)
-	fmt.Fprintf(&sb, "OAL traffic:       %d KB\n", r.OALBytes()/1024)
-	fmt.Fprintf(&sb, "GOS traffic:       %d KB\n", r.GOSBytes()/1024)
-	fmt.Fprintf(&sb, "TCM compute time:  %v\n", r.TCMComputeTime())
-	return sb.String()
+	})
 }
 
 // --- balancing & migration helpers ------------------------------------------
@@ -755,14 +522,6 @@ func PlanPlacementHomeAware(m *TCM, current Assignment, nodes int, homeAffinity 
 // HomeMove is one executed or advised object home migration.
 type HomeMove = gos.HomeMove
 
-// AdviseHomeMigrations recommends object re-homings from the collected
-// correlation state: objects whose accessors all run on one node, homed
-// elsewhere, should move there.
-func (r *Report) AdviseHomeMigrations(assignment Assignment, minBytes int) []HomeMove {
-	k := r.s.Kernel()
-	return k.AdviseHomes(k.Master().Summary(), assignment, minBytes)
-}
-
 // CrossVolume is the correlation volume split across nodes by a placement.
 var CrossVolume = balancer.CrossVolume
 
@@ -771,10 +530,3 @@ var LocalVolume = balancer.LocalVolume
 
 // BlockedPlacement is the spawn-order default placement.
 var BlockedPlacement = balancer.Blocked
-
-// NewMigrationEngine builds a standalone migration engine over a session's
-// kernel, for callers migrating threads by hand. Policies get one
-// implicitly via MigrateThread actions and MigrationHistory.
-func NewMigrationEngine(s *Session) *migration.Engine {
-	return migration.NewEngine(s.Kernel(), migration.DefaultConfig())
-}

@@ -151,7 +151,7 @@ func (w *chainWorkload) Launch(k *jessica2.Kernel, p jessica2.Params) {
 
 func TestMigrationEngineAPI(t *testing.T) {
 	sess := jessica2.NewSession(jessica2.DefaultConfig())
-	eng := jessica2.NewMigrationEngine(sess)
+	eng := sess.MigrationEngine()
 	cls := sess.Kernel().Reg.DefineClass("Obj", 64, 0)
 	var out jessica2.MigrationOutcome
 	sess.Kernel().SpawnThread(0, "m", func(t *jessica2.Thread) {
